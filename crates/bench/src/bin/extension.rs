@@ -6,23 +6,19 @@
 //! encode (paper §5.3, Fig. 1c). This bench measures:
 //!
 //! * **LPN block kernels** on an `OT_2POW20`-class matrix (`k = 168_000`,
-//!   `d = 10`): row-major naive vs cache-blocked tiled, each with and
-//!   without the §5.3 offline sort — all four against the same matrix
-//!   and inputs, best-of-N.
+//!   `d = 10`): row-major naive vs cache-blocked tiled vs the §5.3
+//!   sorted order (which the NMP model replays; on a CPU it loses) —
+//!   all against the same matrix and inputs, best-of-N.
 //! * **LPN bit kernels**: the receiver's `x = e·A ⊕ u` half as
-//!   `Vec<bool>` (naive) vs packed `u64` words, row-major and tiled.
+//!   `Vec<bool>` (naive) vs packed `u64` words.
 //! * **SIMD dispatch head-to-head**: every [`ironman_lpn::simd`] entry
-//!   point (blocks, packed bits, skip-zero probe, fused pair; row-major
-//!   and tiled) at each runtime-available level — scalar vs AVX2/BMI2
-//!   wide — so lane-selection claims are measured, not assumed. The
-//!   skip-zero rows bench the input-bit test against the branchless
-//!   lane honestly (it loses on dense pseudorandom inputs; the rows
-//!   prove it).
+//!   point (row-major and tiled blocks, packed bits, fused pair) at each
+//!   runtime-available level — scalar vs AVX2/BMI2 wide — so
+//!   lane-selection claims are measured, not assumed.
 //! * **Session LPN composite**: one extension's LPN compute across both
 //!   party threads (sender blocks + receiver half — they share the
-//!   single core in a `CotSession`), naive vs the fused tiled+packed
-//!   pair vs the split receiver (tiled block half + row-major packed
-//!   bit half) that [`FerretConfig::recommended`] now picks.
+//!   single core in a `CotSession`), naive vs the split kernel that
+//!   [`FerretConfig::recommended`] picks.
 //! * **Raw single-session `extend`**: a persistent [`CotSession`] at an
 //!   LPN-heavy parameter set, naive kernels vs
 //!   [`FerretConfig::recommended`], COTs/s.
@@ -259,13 +255,9 @@ fn main() {
         },
     );
     let sort_secs = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let sorted_tiles_len = sorted.tile_schedule().len();
-    let sorted_tile_secs = t.elapsed().as_secs_f64();
     println!(
         "offline costs: generate {gen_secs:.2}s, tile {tile_secs:.2}s, \
-         sort {sort_secs:.2}s, tile(sorted) {sorted_tile_secs:.2}s \
-         ({sorted_tiles_len} gathers)"
+         sort {sort_secs:.2}s"
     );
 
     // Shared inputs: pseudorandom blocks/bits, dirty accumulators.
@@ -297,11 +289,6 @@ fn main() {
                 sorted.encode_blocks(&input_blocks, &mut acc_blocks)
             })
         }),
-        best_of(attempts, score, || {
-            time_kernel("blocks_tiled_sorted", kernel_iters, gathers, || {
-                sorted.encode_blocks_tiled(&input_blocks, &mut acc_blocks)
-            })
-        }),
     ];
     let bit_results = [
         best_of(attempts, score, || {
@@ -314,17 +301,10 @@ fn main() {
                 encoder::encode_bits_packed(&matrix, &input_packed, &mut acc_packed)
             })
         }),
-        best_of(attempts, score, || {
-            time_kernel("bits_packed_tiled", kernel_iters, gathers, || {
-                tiles.encode_bits_packed(&input_packed, &mut acc_packed)
-            })
-        }),
     ];
     // The simd dispatch layer, lane by lane at every level this host can
     // run: the scalar row is the dispatch-overhead baseline, the wide
-    // row is the AVX2/BMI2 code path, same matrix and inputs. The
-    // skip-zero rows give the input-bit-testing kernel its honest
-    // head-to-head against the branchless packed lane.
+    // row is the AVX2/BMI2 code path, same matrix and inputs.
     let mut simd_results: Vec<KernelResult> = Vec::new();
     for &level in SimdLevel::available() {
         let sc = level == SimdLevel::Scalar;
@@ -367,56 +347,6 @@ fn main() {
         simd_results.push(best_of(attempts, score, || {
             time_kernel(
                 if sc {
-                    "simd_bits_packed_tiled_scalar"
-                } else {
-                    "simd_bits_packed_tiled_wide"
-                },
-                kernel_iters,
-                gathers,
-                || simd::encode_bits_packed_tiled(level, tiles, &input_packed, &mut acc_packed),
-            )
-        }));
-        simd_results.push(best_of(attempts, score, || {
-            time_kernel(
-                if sc {
-                    "skipzero_bits_scalar"
-                } else {
-                    "skipzero_bits_wide"
-                },
-                kernel_iters,
-                gathers,
-                || {
-                    simd::encode_bits_packed_skipzero(
-                        level,
-                        &matrix,
-                        &input_packed,
-                        &mut acc_packed,
-                    )
-                },
-            )
-        }));
-        simd_results.push(best_of(attempts, score, || {
-            time_kernel(
-                if sc {
-                    "skipzero_bits_tiled_scalar"
-                } else {
-                    "skipzero_bits_tiled_wide"
-                },
-                kernel_iters,
-                gathers,
-                || {
-                    simd::encode_bits_packed_skipzero_tiled(
-                        level,
-                        tiles,
-                        &input_packed,
-                        &mut acc_packed,
-                    )
-                },
-            )
-        }));
-        simd_results.push(best_of(attempts, score, || {
-            time_kernel(
-                if sc {
                     "simd_pair_scalar"
                 } else {
                     "simd_pair_wide"
@@ -435,38 +365,17 @@ fn main() {
                 },
             )
         }));
-        simd_results.push(best_of(attempts, score, || {
-            time_kernel(
-                if sc {
-                    "simd_pair_tiled_scalar"
-                } else {
-                    "simd_pair_tiled_wide"
-                },
-                kernel_iters,
-                2 * gathers,
-                || {
-                    simd::encode_cot_pair_tiled(
-                        level,
-                        tiles,
-                        &input_blocks,
-                        &input_packed,
-                        &mut acc_blocks,
-                        &mut acc_packed,
-                    )
-                },
-            )
-        }));
     }
 
     // Session-level composite: one extension's LPN compute across both
     // party threads (they share this core in a `CotSession`) — the
     // sender's `z = r·A ⊕ w` block pass plus the receiver's
-    // `x = e·A ⊕ u` / `y = s·A ⊕ v` half. Naive runs the pre-PR shape
-    // (row-major, separate passes, `bool` bits); tiled+packed runs the
-    // fused receiver pair the tile schedule and packed words were built
-    // for; split runs what `recommended()` now picks from measurement —
-    // tiled block passes plus a row-major packed bit pass, at the
-    // auto-detected SIMD level.
+    // `x = e·A ⊕ u` / `y = s·A ⊕ v` half. Naive runs the baseline shape
+    // (row-major, separate passes, `bool` bits); split runs what
+    // `recommended()` picks from measurement at the auto-detected SIMD
+    // level — the tiled sender pass, then the fused row-major pair
+    // (wide) or a tiled block pass plus a row-major packed bit pass
+    // (scalar).
     let auto_level = SimdLevel::detect();
     let composite_results = [
         best_of(attempts, score, || {
@@ -475,22 +384,6 @@ fn main() {
                 encoder::encode_bits(&matrix, &input_bools, &mut acc_bools);
                 encoder::encode_blocks(&matrix, &input_blocks, &mut acc_blocks);
             })
-        }),
-        best_of(attempts, score, || {
-            time_kernel(
-                "session_lpn_tiled_packed",
-                kernel_iters,
-                3 * gathers,
-                || {
-                    tiles.encode_blocks(&input_blocks, &mut acc_blocks);
-                    tiles.encode_cot_pair(
-                        &input_blocks,
-                        &input_packed,
-                        &mut acc_blocks,
-                        &mut acc_packed,
-                    );
-                },
-            )
         }),
         best_of(attempts, score, || {
             time_kernel("session_lpn_split", kernel_iters, 3 * gathers, || {
@@ -615,16 +508,10 @@ fn main() {
         ]);
     }
 
-    let tiled_packed_speedup =
-        composite_results[1].gathers_per_sec() / composite_results[0].gathers_per_sec();
     let split_speedup =
-        composite_results[2].gathers_per_sec() / composite_results[0].gathers_per_sec();
+        composite_results[1].gathers_per_sec() / composite_results[0].gathers_per_sec();
     let extend_speedup = extends[1].cots_per_sec() / extends[0].cots_per_sec();
-    println!(
-        "\nsession LPN tiled+packed vs naive: {}",
-        times(tiled_packed_speedup)
-    );
-    println!("session LPN split vs naive: {}", times(split_speedup));
+    println!("\nsession LPN split vs naive: {}", times(split_speedup));
     println!("extend recommended vs naive: {}", times(extend_speedup));
     println!(
         "spawn-to-first-batch: unshared {spawn_unshared_secs:.2}s \
@@ -638,7 +525,7 @@ fn main() {
         "  \"quick\": {quick},\n  \"simd_level\": \"{auto_level:?}\",\n  \"params\": {{\"n\": {n}, \"k\": {k}, \"d\": {d}}},\n"
     ));
     json.push_str(&format!(
-        "  \"tiled_packed_speedup\": {tiled_packed_speedup:.3},\n  \"split_speedup\": {split_speedup:.3},\n  \"extend_speedup\": {extend_speedup:.3},\n"
+        "  \"split_speedup\": {split_speedup:.3},\n  \"extend_speedup\": {extend_speedup:.3},\n"
     ));
     json.push_str(&format!(
         "  \"shared_matrix\": {{\"matrix_build_secs\": {matrix_build_secs:.3}, \"matrix_bytes\": {matrix_bytes}, \

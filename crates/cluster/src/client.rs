@@ -101,7 +101,7 @@ struct Slot {
     /// kept — the server is healthy, just starved).
     unavailable_until: Option<Instant>,
     /// The directory epoch this server session last announced (`Hello`
-    /// or `Sync`); lagging behind the snapshot triggers a proactive
+    /// or `Gossip`); lagging behind the snapshot triggers a proactive
     /// resync before the server has to fence us.
     epoch_synced: u64,
 }

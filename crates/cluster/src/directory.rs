@@ -13,10 +13,10 @@
 //!   (members + consistent-hash ring) behind a read lock held only for an
 //!   `Arc` clone, so the request path routes on an immutable snapshot and
 //!   never contends with membership churn.
-//! * A bounded **change log** lets servers answer `Sync{epoch}` with the
-//!   exact membership delta ([`Directory::delta_since`]); clients apply it
-//!   with [`Directory::apply_delta`]. When the log no longer reaches back
-//!   to the requested epoch, a full snapshot is sent instead.
+//! * A peer or client presenting its epoch vector gets exactly the
+//!   records it has not seen ([`Directory::delta_by_vector`]) and merges
+//!   them with [`Directory::apply_delta`] — the one resync path, however
+//!   far behind the requester is.
 //!
 //! # Replication (wire v9)
 //!
@@ -81,7 +81,7 @@
 //! falls back to every live member — degraded routing beats none.
 
 use ironman_net::{DirectoryDelta, DirectoryView, MemberRecord, MemberWireState};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex, RwLock};
@@ -89,10 +89,6 @@ use std::sync::{Arc, Mutex, RwLock};
 /// Virtual nodes per unit of member weight on the hash ring; enough that
 /// a 3-server directory spreads sessions within a few percent of evenly.
 pub const VIRTUAL_NODES: usize = 64;
-
-/// Change-log entries retained for delta replies; a client whose epoch
-/// fell further behind than this receives a full snapshot instead.
-const LOG_CAP: usize = 128;
 
 /// Removal tombstones retained for anti-entropy; beyond this the oldest
 /// stamps are pruned (a peer staler than the pruned horizon may
@@ -415,11 +411,6 @@ struct DirInner {
     /// Removal tombstones by member id, each a `Left` record carrying
     /// the removing write's stamp.
     tombstones: BTreeMap<u64, MemberRecord>,
-    /// `(epoch, change)` entries, oldest first; covers `(log_floor,
-    /// epoch]`.
-    log: VecDeque<(u64, MemberRecord)>,
-    /// Epoch below which the log has been truncated.
-    log_floor: u64,
 }
 
 impl DirInner {
@@ -452,29 +443,14 @@ impl DirInner {
         self.vector.iter().map(|(&o, &v)| (o, v)).collect()
     }
 
-    /// Records `record` in the change log and returns the snapshot to
-    /// publish (the epoch was already advanced by [`DirInner::bump`] or
-    /// a merge).
-    fn commit(&mut self, record: MemberRecord) -> Arc<RingSnapshot> {
-        self.log.push_back((self.epoch, record));
-        self.truncate_log();
-        self.snapshot()
-    }
-
+    /// The snapshot to publish after a mutation (the epoch was already
+    /// advanced by [`DirInner::bump`] or a merge).
     fn snapshot(&self) -> Arc<RingSnapshot> {
         Arc::new(RingSnapshot::build(
             self.epoch,
             self.vector_list(),
             self.members.clone(),
         ))
-    }
-
-    fn truncate_log(&mut self) {
-        while self.log.len() > LOG_CAP {
-            if let Some((epoch, _)) = self.log.pop_front() {
-                self.log_floor = epoch;
-            }
-        }
     }
 
     fn prune_tombstones(&mut self) {
@@ -498,8 +474,8 @@ impl DirInner {
     }
 
     /// Merges one wire record under the stamp rule. Returns whether the
-    /// membership changed. `at_epoch` keys the change-log entry.
-    fn apply_record(&mut self, record: &MemberRecord, at_epoch: u64) -> bool {
+    /// membership changed.
+    fn apply_record(&mut self, record: &MemberRecord) -> bool {
         let stamp = Stamp {
             origin: record.origin,
             version: record.version,
@@ -559,7 +535,6 @@ impl DirInner {
             }
         }
         self.next_id = self.next_id.max(record.id.saturating_add(1));
-        self.log.push_back((at_epoch, record.clone()));
         true
     }
 }
@@ -612,8 +587,6 @@ impl Directory {
                 next_id: 0,
                 members: Vec::new(),
                 tombstones: BTreeMap::new(),
-                log: VecDeque::new(),
-                log_floor: 0,
             }),
             published: RwLock::new(Arc::new(RingSnapshot::build(0, Vec::new(), Vec::new()))),
         }
@@ -632,7 +605,7 @@ impl Directory {
     /// A directory cloned from a published snapshot, preserving ids,
     /// epoch, and the epoch vector — how a remote client bootstraps its
     /// local membership view before keeping it current through
-    /// `DirectoryUpdate`/`GossipDelta` deltas.
+    /// `GossipDelta` deltas.
     pub fn from_snapshot(snapshot: &RingSnapshot) -> Self {
         let members = snapshot.members().to_vec();
         let next_id = members.iter().map(|m| m.id.0 + 1).max().unwrap_or(0);
@@ -652,9 +625,6 @@ impl Directory {
                 next_id,
                 members: members.clone(),
                 tombstones: BTreeMap::new(),
-                log: VecDeque::new(),
-                // Nothing before `epoch` is replayable from here.
-                log_floor: epoch,
             }),
             published: RwLock::new(Arc::new(RingSnapshot::build(
                 epoch,
@@ -738,8 +708,7 @@ impl Directory {
             existing.state = MemberState::Up;
             existing.weight = weight;
             existing.stamp = stamp;
-            let record = existing.to_record();
-            let snap = inner.commit(record);
+            let snap = inner.snapshot();
             drop(inner);
             self.publish(snap);
             return id;
@@ -755,9 +724,8 @@ impl Directory {
             weight,
             stamp,
         };
-        let record = member.to_record();
         inner.members.push(member);
-        let snap = inner.commit(record);
+        let snap = inner.snapshot();
         drop(inner);
         self.publish(snap);
         id
@@ -801,12 +769,11 @@ impl Directory {
             stamp,
         };
         match inner.members.iter_mut().find(|m| m.id == id) {
-            Some(existing) => *existing = member.clone(),
-            None => inner.members.push(member.clone()),
+            Some(existing) => *existing = member,
+            None => inner.members.push(member),
         }
         inner.next_id = inner.next_id.max(id.0.saturating_add(1));
-        let record = member.to_record();
-        let snap = inner.commit(record);
+        let snap = inner.snapshot();
         drop(inner);
         self.publish(snap);
         true
@@ -857,8 +824,7 @@ impl Directory {
         let member = inner.member_mut(id).expect("member checked above");
         member.state = to;
         member.stamp = stamp;
-        let record = member.to_record();
-        let snap = inner.commit(record);
+        let snap = inner.snapshot();
         drop(inner);
         self.publish(snap);
         true
@@ -869,7 +835,7 @@ impl Directory {
     /// the requested state.
     fn mutate(&self, id: ServerId, state: Option<MemberState>) -> bool {
         let mut inner = lock(&self.inner);
-        let record = match state {
+        match state {
             None => {
                 let Some(pos) = inner.members.iter().position(|m| m.id == id) else {
                     return false;
@@ -883,9 +849,8 @@ impl Directory {
                     version: stamp.version,
                     ..removed.to_record()
                 };
-                inner.tombstones.insert(id.0, record.clone());
+                inner.tombstones.insert(id.0, record);
                 inner.prune_tombstones();
-                record
             }
             Some(new_state) => {
                 let Some(member) = inner.member_mut(id) else {
@@ -899,34 +864,32 @@ impl Directory {
                 let member = inner.member_mut(id).expect("member checked above");
                 member.state = new_state;
                 member.stamp = stamp;
-                member.to_record()
             }
-        };
-        let snap = inner.commit(record);
+        }
+        let snap = inner.snapshot();
         drop(inner);
         self.publish(snap);
         true
     }
 
-    /// Applies a membership delta — from a server's `Sync` answer or an
-    /// anti-entropy `GossipDelta` — under the stamp merge rule: each
-    /// record lands only if its stamp strictly wins over what this
-    /// replica holds, removals become tombstones, and the delta's epoch
-    /// vector folds in by pointwise maximum. Order-independent,
-    /// duplicate-safe, and convergent (see the module docs); returns
-    /// whether anything changed.
+    /// Applies a membership delta — an anti-entropy `GossipDelta` — under
+    /// the stamp merge rule: each record lands only if its stamp strictly
+    /// wins over what this replica holds, removals become tombstones, and
+    /// the delta's epoch vector folds in by pointwise maximum.
+    /// Order-independent, duplicate-safe, and convergent (see the module
+    /// docs); returns whether anything changed.
     ///
     /// A *full* delta additionally removes members this replica holds
     /// that are absent from the snapshot **and** whose stamps the
     /// sender's vector covers — the sender saw those writes and still
-    /// excludes the member, so the member was removed in a gap the
-    /// change log could not replay. (Members with uncovered stamps are
-    /// concurrent news the sender missed; they stay.)
+    /// excludes the member, so the member was removed in a gap whose
+    /// tombstone has since been pruned. (Members with uncovered stamps
+    /// are concurrent news the sender missed; they stay.)
     pub fn apply_delta(&self, delta: &DirectoryDelta) -> bool {
         let mut inner = lock(&self.inner);
         let mut changed = false;
         for record in &delta.members {
-            changed |= inner.apply_record(record, delta.epoch);
+            changed |= inner.apply_record(record);
         }
         if delta.full && !delta.vector.is_empty() {
             let sender: BTreeMap<u64, u64> = delta.vector.iter().copied().collect();
@@ -956,68 +919,10 @@ impl Directory {
             .values()
             .fold(0u64, |a, &v| a.saturating_add(v));
         inner.epoch = inner.epoch.max(sum);
-        if delta.full {
-            // A snapshot replaced the membership wholesale: the log no
-            // longer knows which members were *removed* between our old
-            // epoch and the snapshot's, so nothing older than the
-            // snapshot epoch may be answered incrementally from here.
-            inner.log.clear();
-            inner.log_floor = inner.epoch;
-        }
-        inner.truncate_log();
         let snap = inner.snapshot();
         drop(inner);
         self.publish(snap);
         true
-    }
-
-    /// The membership changes between `epoch` and now, deduplicated to
-    /// each member's latest state — or a full snapshot when the change
-    /// log has been truncated past `epoch`. The empty delta (current
-    /// epoch, no members) answers an already-current requester.
-    ///
-    /// Scalar-epoch filtering is only meaningful within one replica's
-    /// lineage (the v4 client `Sync` flow: bootstrap from this replica's
-    /// snapshot, then deltas from the same replica). Cross-replica
-    /// convergence uses [`Directory::delta_by_vector`] instead.
-    pub fn delta_since(&self, epoch: u64) -> DirectoryDelta {
-        let inner = lock(&self.inner);
-        if epoch >= inner.epoch {
-            return DirectoryDelta {
-                epoch: inner.epoch,
-                full: false,
-                vector: inner.vector_list(),
-                members: Vec::new(),
-            };
-        }
-        if epoch >= inner.log_floor {
-            // Dedup keep-last: later changes to the same member override
-            // earlier ones within the window.
-            let mut members: Vec<MemberRecord> = Vec::new();
-            for (change_epoch, record) in &inner.log {
-                if *change_epoch <= epoch {
-                    continue;
-                }
-                match members.iter_mut().find(|r| r.id == record.id) {
-                    Some(existing) => *existing = record.clone(),
-                    None => members.push(record.clone()),
-                }
-            }
-            return DirectoryDelta {
-                epoch: inner.epoch,
-                full: false,
-                vector: inner.vector_list(),
-                members,
-            };
-        }
-        let mut members: Vec<MemberRecord> = inner.members.iter().map(Member::to_record).collect();
-        members.extend(inner.tombstones.values().cloned());
-        DirectoryDelta {
-            epoch: inner.epoch,
-            full: true,
-            vector: inner.vector_list(),
-            members,
-        }
     }
 
     /// The anti-entropy answer to a peer presenting `their` epoch
@@ -1078,12 +983,8 @@ impl DirectoryView for Directory {
         Directory::epoch(self)
     }
 
-    fn delta_since(&self, epoch: u64) -> DirectoryDelta {
-        Directory::delta_since(self, epoch)
-    }
-
-    fn gossip_delta(&self, vector: &[(u64, u64)]) -> Option<DirectoryDelta> {
-        Some(Directory::delta_by_vector(self, vector))
+    fn gossip_delta(&self, vector: &[(u64, u64)]) -> DirectoryDelta {
+        Directory::delta_by_vector(self, vector)
     }
 
     fn successor_for(&self, session: &str, self_id: u64) -> Option<MemberRecord> {
@@ -1261,7 +1162,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_since_replays_changes_and_applies_cleanly() {
+    fn vector_delta_replays_changes_and_applies_cleanly() {
         let d = dir(3);
         let follower = Directory::from_snapshot(&d.snapshot());
         assert_eq!(follower.epoch(), d.epoch());
@@ -1271,8 +1172,8 @@ mod tests {
         d.drain(victim);
         d.leave(victim);
 
-        let delta = d.delta_since(follower.epoch());
-        assert!(!delta.full, "log covers the follower's epoch");
+        let delta = d.delta_by_vector(&follower.epoch_vector());
+        assert!(!delta.full, "anti-entropy answers are never snapshots");
         assert!(follower.apply_delta(&delta));
         assert_eq!(follower.epoch(), d.epoch());
         let snap = follower.snapshot();
@@ -1284,22 +1185,27 @@ mod tests {
             let s = format!("s{i}");
             assert_eq!(snap.home(&s), leader.home(&s));
         }
-        // Re-applying the same delta is a no-op.
+        // Re-applying the same delta is a no-op, and a fresh pull is empty.
         assert!(!follower.apply_delta(&delta));
+        assert!(d
+            .delta_by_vector(&follower.epoch_vector())
+            .members
+            .is_empty());
     }
 
     #[test]
-    fn truncated_log_falls_back_to_full_snapshot() {
+    fn long_gap_converges_by_vector() {
+        // A follower hundreds of changes behind needs no replay log: the
+        // vector pull carries every record (tombstones included) its
+        // vector lacks, however long the gap.
         let d = dir(1);
         let follower = Directory::from_snapshot(&d.snapshot());
-        // Push far more changes than the log retains.
-        for i in 0..(LOG_CAP + 40) {
+        for i in 0..(TOMBSTONE_CAP / 2) {
             let id = d.join(addr(2 + (i % 8)), "churner");
             d.leave(id);
         }
         let id = d.join(addr(99), "kept");
-        let delta = d.delta_since(follower.epoch());
-        assert!(delta.full, "ancient epoch must get a snapshot");
+        let delta = d.delta_by_vector(&follower.epoch_vector());
         assert!(follower.apply_delta(&delta));
         assert_eq!(follower.epoch(), d.epoch());
         assert!(follower.snapshot().member(id).is_some());
@@ -1307,22 +1213,64 @@ mod tests {
     }
 
     #[test]
-    fn full_snapshot_apply_truncates_incremental_history() {
+    fn full_snapshot_drops_members_removed_past_the_tombstone_horizon() {
+        // The gap a vector pull cannot bridge: the follower still holds a
+        // member whose removal tombstone the leader has since pruned, so
+        // no incremental record will ever remove it. A full snapshot
+        // (every live record and tombstone, `full` set) does: the
+        // leader's vector covers the stale member's stamp and the
+        // snapshot omits it.
         let d = dir(2);
         let follower = Directory::from_snapshot(&d.snapshot());
-        // Evolve the leader far past its change log.
-        for i in 0..(LOG_CAP + 10) {
-            let id = d.join(addr(10 + (i as u64 % 5) as usize), "x");
+        let victim = d.snapshot().members()[0].id;
+        d.leave(victim);
+        for i in 0..(TOMBSTONE_CAP + 10) {
+            let id = d.join(addr(10 + i % 5), "x");
             d.leave(id);
         }
-        let gap_epoch = follower.epoch() + 1;
-        let delta = d.delta_since(follower.epoch());
-        assert!(delta.full);
-        assert!(follower.apply_delta(&delta));
-        // The follower cannot reconstruct removals inside the gap it
-        // jumped over: an in-gap epoch must be answered with a full
-        // snapshot, never an incremental delta missing `Left` records.
-        assert!(follower.delta_since(gap_epoch).full);
+        let incremental = d.delta_by_vector(&follower.epoch_vector());
+        assert!(
+            incremental.members.iter().all(|r| r.id != victim.0),
+            "pruned tombstone: the incremental pull cannot remove the victim"
+        );
+        let snapshot = DirectoryDelta {
+            full: true,
+            ..d.delta_by_vector(&[])
+        };
+        assert!(follower.apply_delta(&snapshot));
+        assert!(follower.snapshot().member(victim).is_none());
+        assert_eq!(follower.snapshot().len(), d.snapshot().len());
+        assert_eq!(follower.epoch(), d.epoch());
+    }
+
+    #[test]
+    fn relayed_pull_carries_removals_from_the_gap() {
+        // A replica that jumped a gap in one pull relays the gap's
+        // removals onward: a third replica pulling from it receives the
+        // `Left` records, never a delta that silently misses them.
+        let d = dir(2);
+        let relay = Directory::from_snapshot(&d.snapshot());
+        let third = Directory::from_snapshot(&d.snapshot());
+        let mut removed = Vec::new();
+        for i in 0..40 {
+            let id = d.join(addr(10 + i % 5), "x");
+            d.leave(id);
+            removed.push(id.0);
+        }
+        relay.apply_delta(&d.delta_by_vector(&relay.epoch_vector()));
+        let relayed = relay.delta_by_vector(&third.epoch_vector());
+        for id in &removed {
+            assert!(
+                relayed
+                    .members
+                    .iter()
+                    .any(|r| r.id == *id && r.state == MemberWireState::Left),
+                "removal of {id} missing from the relayed delta"
+            );
+        }
+        third.apply_delta(&relayed);
+        assert_eq!(third.epoch(), d.epoch());
+        assert_eq!(third.snapshot().len(), d.snapshot().len());
     }
 
     #[test]

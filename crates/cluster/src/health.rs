@@ -18,7 +18,7 @@
 //!   blip recovers without a reshuffle-churn round trip.
 //! * `evict_after` strikes → [`Directory::leave`]: the member is removed
 //!   and the epoch bump propagates to every client through the
-//!   `WrongEpoch`/`DirectoryUpdate` fence.
+//!   `WrongEpoch` fence and the `Gossip` resync.
 //! * Any successful probe resets the member's strikes and, if it was
 //!   suspect, marks it up again.
 //!
@@ -54,7 +54,7 @@ pub struct HealthConfig {
     /// live id), so a minority partition suspects its unreachable peers
     /// but cannot evict the majority. Suspect/up marks are never gated —
     /// they *are* the lease-expiry mechanism. `None` (the default, and
-    /// the shared-directory shape) keeps the ungated v4 behavior.
+    /// the shared-directory shape) keeps evictions ungated.
     pub self_id: Option<ServerId>,
 }
 

@@ -1,8 +1,8 @@
 //! Property-based membership invariants (proptest): consistent-hash
 //! reshuffle on `join`/`leave` is *minimal* (only sessions homed on the
 //! changed server move), epochs are strictly monotone across arbitrary
-//! mutation sequences, and delta sync always converges a follower to the
-//! leader's routing.
+//! mutation sequences, and a vector pull always converges a follower to
+//! the leader's routing.
 //!
 //! The replication block below exercises the v9 `apply_delta` conflict
 //! edges: vector deltas commute (out-of-order delivery converges), are
@@ -12,6 +12,7 @@
 //! membership and one epoch vector.
 
 use ironman_cluster::{Directory, ServerEntry, ServerId};
+use ironman_net::DirectoryDelta;
 use proptest::prelude::*;
 use std::net::SocketAddr;
 
@@ -120,10 +121,10 @@ proptest! {
         }
     }
 
-    /// After any mutation run, a follower syncing by delta (or full
-    /// snapshot fallback) routes identically to the leader.
+    /// After any mutation run, a follower syncing by one vector pull
+    /// routes identically to the leader.
     #[test]
-    fn delta_sync_converges_routing(
+    fn vector_sync_converges_routing(
         ops in proptest::collection::vec(any::<u64>(), 0..30),
         sessions in proptest::collection::vec(any::<u32>(), 1..20),
     ) {
@@ -139,7 +140,7 @@ proptest! {
                 _ => {}
             }
         }
-        let delta = dir.delta_since(follower.epoch());
+        let delta = dir.delta_by_vector(&follower.epoch_vector());
         follower.apply_delta(&delta);
         prop_assert_eq!(follower.epoch(), dir.epoch());
         let leader_snap = dir.snapshot();
@@ -207,10 +208,11 @@ fn fingerprint(dir: &Directory) -> (Vec<String>, Vec<(u64, u64)>) {
     (members, dir.epoch_vector())
 }
 
-/// A fresh replica bootstrapped from `base`'s full snapshot.
+/// A fresh replica bootstrapped from `base`'s whole membership (an
+/// empty vector covers nothing, so the pull carries every record).
 fn seeded_replica(origin: u64, base: &Directory) -> Directory {
     let replica = Directory::new_replica(ServerId(origin));
-    replica.apply_delta(&base.delta_since(0));
+    replica.apply_delta(&base.delta_by_vector(&[]));
     replica
 }
 
@@ -231,7 +233,7 @@ proptest! {
         let base = fleet(3, 11);
         let leader = seeded_replica(90, &base);
         let follower = seeded_replica(91, &base);
-        let mut pending: Vec<ironman_net::DirectoryDelta> = Vec::new();
+        let mut pending: Vec<DirectoryDelta> = Vec::new();
         for (op, choice) in ops.iter().zip(schedule.iter().cycle()) {
             replica_mutate(&leader, *op, 0);
             match choice % 3 {
@@ -293,16 +295,12 @@ proptest! {
         for op in &late {
             replica_mutate(&leader, *op, 0);
         }
-        // Grind suspect/up flaps until the change log truncates past
-        // epoch 0 — only then is a from-zero delta a genuine snapshot
-        // fallback rather than an incremental replay.
-        while !leader.delta_since(0).full {
-            let id = leader.snapshot().members()[0].id;
-            leader.mark_suspect(id);
-            leader.mark_up(id);
-        }
-        let full = leader.delta_since(0);
-        prop_assert!(full.full, "a from-zero delta must be a snapshot fallback");
+        // The snapshot fallback: every live record and tombstone, with
+        // snapshot semantics.
+        let full = DirectoryDelta {
+            full: true,
+            ..leader.delta_by_vector(&[])
+        };
         follower.apply_delta(&full);
         let synced = fingerprint(&follower);
         prop_assert!(!follower.apply_delta(&stale), "stale delta claimed changes");

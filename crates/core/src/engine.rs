@@ -163,7 +163,9 @@ impl Engine {
             arity: self.cfg.arity,
             prg: self.cfg.prg,
             role: Role::Sender,
-            sort: self.cfg.sort,
+            // The engine encodes through the plain CSR matrix (the §5.3
+            // sorted order is an NMP-side study: `OteWork::ironman`).
+            sort: None,
             sample_rows: Some(16_384),
         }
     }

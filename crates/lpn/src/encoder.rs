@@ -10,13 +10,14 @@
 //!
 //! All kernels are expressed over one generic XOR-accumulate core — the
 //! [`XorLane`] trait, whose defining operation is `acc[row] ^= input[col]`
-//! — so the row-major (naive) and tile-major ([`crate::tile`]) traversals
-//! each exist **once** and serve blocks, `bool` bits, packed bits and the
-//! receiver's fused block+bit pair alike. Monomorphization inlines the
-//! lane into each traversal; there is no dynamic dispatch on the hot
-//! path. Lanes override the batched trait methods only to keep their
-//! accumulation state in registers (one store per row / per packed word
-//! instead of one read-modify-write per gather).
+//! — so the row-major (naive) traversal exists **once** and serves
+//! blocks, `bool` bits, packed bits and the receiver's fused block+bit
+//! pair alike; the tile-major traversal ([`crate::tile`]) runs the block
+//! lane, the one operand whose input outgrows the cache. Monomorphization
+//! inlines the lane into each traversal; there is no dynamic dispatch on
+//! the hot path. Lanes override the batched trait methods only to keep
+//! their accumulation state in registers (one store per row instead of
+//! one read-modify-write per gather).
 
 use crate::bits::PackedBits;
 use crate::LpnMatrix;
@@ -53,12 +54,8 @@ pub trait XorLane {
 
     /// Bucket-batched form, driven by [`crate::tile::TileSchedule`]:
     /// every entry packs `(local_row << col_bits) | local_col` relative
-    /// to the bucket's `(row_base, col_base)` origin, in the schedule's
-    /// emission order. Implementations must be correct for **any** row
-    /// order — `TileSchedule::build` happens to emit rows ascending
-    /// (which is what makes the packed lanes' pending-word buffering
-    /// fast), but the sorted-matrix schedule emits look-ahead execution
-    /// order. Equivalent to `xor_gather` per entry.
+    /// to the bucket's `(row_base, col_base)` origin, rows ascending
+    /// within a bucket. Equivalent to `xor_gather` per entry.
     #[inline]
     fn xor_gather_bucket(
         &mut self,
@@ -190,145 +187,6 @@ impl<P: BitProbe> XorLane for PackedLane<'_, P> {
         let words = self.input.words();
         self.acc.xor_bit(row, row_parity::<P>(words, cols));
     }
-
-    #[inline(always)]
-    fn xor_gather_bucket(
-        &mut self,
-        row_base: usize,
-        col_base: usize,
-        col_bits: u32,
-        entries: &[u32],
-    ) {
-        let mask = (1u32 << col_bits) - 1;
-        let words = self.input.words();
-        let mut pending = PendingWord::at(row_base);
-        for &e in entries {
-            let row = row_base + (e >> col_bits) as usize;
-            let b = P::bit(words, col_base + (e & mask) as usize);
-            pending.xor_bit(self.acc, row, b);
-        }
-        pending.flush(self.acc);
-    }
-}
-
-/// The skip-zero packed lane: identical algebra to [`PackedLane`], but
-/// each gather *tests* the input bit and only touches the accumulator
-/// when it is set. Roughly half of a pseudorandom `e`'s bits are zero,
-/// so half the accumulator XORs disappear — at the price of one
-/// 50/50 data-dependent branch per gather, which is exactly the kind a
-/// predictor cannot learn. Benched head-to-head against the branchless
-/// lane in `BENCH_extension.json`; the branch predictability depends on
-/// the traversal layout (the tiled bucket order revisits the same input
-/// window, the row-major order does not), which is why both layouts get
-/// a bench row.
-pub struct SkipZeroPackedLane<'a, P: BitProbe = TableProbe> {
-    input: &'a PackedBits,
-    acc: &'a mut PackedBits,
-    _probe: PhantomData<P>,
-}
-
-impl<'a> SkipZeroPackedLane<'a, TableProbe> {
-    /// Borrows the input/accumulator pair (mask-table probe).
-    pub fn new(input: &'a PackedBits, acc: &'a mut PackedBits) -> Self {
-        SkipZeroPackedLane::with_probe(input, acc)
-    }
-}
-
-impl<'a, P: BitProbe> SkipZeroPackedLane<'a, P> {
-    /// Borrows the input/accumulator pair with an explicit probe.
-    pub fn with_probe(input: &'a PackedBits, acc: &'a mut PackedBits) -> Self {
-        SkipZeroPackedLane {
-            input,
-            acc,
-            _probe: PhantomData,
-        }
-    }
-}
-
-impl<P: BitProbe> XorLane for SkipZeroPackedLane<'_, P> {
-    #[inline(always)]
-    fn xor_gather(&mut self, row: usize, col: usize) {
-        if P::bit(self.input.words(), col) {
-            self.acc.xor_bit(row, true);
-        }
-    }
-
-    #[inline(always)]
-    fn xor_gather_row(&mut self, row: usize, cols: &[u32]) {
-        // Count set bits with branches (the skip under test), touch the
-        // accumulator only for odd parity.
-        let words = self.input.words();
-        let mut parity = false;
-        for &c in cols {
-            if P::bit(words, c as usize) {
-                parity = !parity;
-            }
-        }
-        if parity {
-            self.acc.xor_bit(row, true);
-        }
-    }
-
-    #[inline(always)]
-    fn xor_gather_bucket(
-        &mut self,
-        row_base: usize,
-        col_base: usize,
-        col_bits: u32,
-        entries: &[u32],
-    ) {
-        let mask = (1u32 << col_bits) - 1;
-        let words = self.input.words();
-        let mut pending = PendingWord::at(row_base);
-        for &e in entries {
-            let col = col_base + (e & mask) as usize;
-            // Zero input bits skip the pending-word update entirely;
-            // the word-change write-back below still triggers on the
-            // next *set* bit, so skipped rows cost nothing.
-            if P::bit(words, col) {
-                let row = row_base + (e >> col_bits) as usize;
-                pending.xor_bit(self.acc, row, true);
-            }
-        }
-        pending.flush(self.acc);
-    }
-}
-
-/// One packed accumulator word buffered in locals (registers) across a
-/// bucket: `TileSchedule::build` emits rows ascending within a bucket,
-/// so consecutive entries share a 64-row word for long runs and the
-/// write-back branch is rare and well predicted. Correct for *any* row
-/// order (each word change writes back), ascending order is only what
-/// makes it fast.
-pub(crate) struct PendingWord {
-    bits: u64,
-    idx: usize,
-}
-
-impl PendingWord {
-    #[inline(always)]
-    pub(crate) fn at(row: usize) -> Self {
-        PendingWord {
-            bits: 0,
-            idx: row >> 6,
-        }
-    }
-
-    #[inline(always)]
-    pub(crate) fn xor_bit(&mut self, acc: &mut PackedBits, row: usize, b: bool) {
-        let idx = row >> 6;
-        if idx != self.idx {
-            acc.xor_word(self.idx, self.bits);
-            self.bits = 0;
-            self.idx = idx;
-        }
-        self.bits ^= (b as u64) << (row & 63);
-    }
-
-    #[inline(always)]
-    pub(crate) fn flush(self, acc: &mut PackedBits) {
-        acc.xor_word(self.idx, self.bits);
-    }
 }
 
 /// Two-lane parity of `cols`' bits in `words` — short XOR chains, no
@@ -411,30 +269,6 @@ impl<P: BitProbe> XorLane for CotPairLane<'_, P> {
         self.y[row] = v;
         self.x.xor_bit(row, row_parity::<P>(words, cols));
     }
-
-    #[inline(always)]
-    fn xor_gather_bucket(
-        &mut self,
-        row_base: usize,
-        col_base: usize,
-        col_bits: u32,
-        entries: &[u32],
-    ) {
-        let mask = (1u32 << col_bits) - 1;
-        let words = self.e.words();
-        // The y half read-modify-writes per entry (rows change too
-        // unpredictably for run accumulation to beat the store buffer);
-        // the packed x half buffers its 64-row word ([`PendingWord`]).
-        let mut pending = PendingWord::at(row_base);
-        for &en in entries {
-            let row = row_base + (en >> col_bits) as usize;
-            let col = col_base + (en & mask) as usize;
-            let v = self.s[col];
-            self.y[row] ^= v;
-            pending.xor_bit(self.x, row, P::bit(words, col));
-        }
-        pending.flush(self.x);
-    }
 }
 
 /// Remaps lane rows through a translation table — how the §5.3
@@ -511,19 +345,6 @@ pub fn encode_bits_packed(matrix: &LpnMatrix, input: &PackedBits, acc: &mut Pack
     assert_eq!(input.len(), matrix.cols(), "input length must equal k");
     assert_eq!(acc.len(), matrix.rows(), "accumulator length must equal n");
     encode_rows(matrix, &mut PackedLane::new(input, acc));
-}
-
-/// Skip-zero variant of [`encode_bits_packed`]: tests each input bit and
-/// only accumulates the set ones (see [`SkipZeroPackedLane`] for the
-/// branch-prediction trade). Bit-identical output to the branchless lane.
-///
-/// # Panics
-///
-/// Panics if lengths do not match the matrix dimensions.
-pub fn encode_bits_packed_skipzero(matrix: &LpnMatrix, input: &PackedBits, acc: &mut PackedBits) {
-    assert_eq!(input.len(), matrix.cols(), "input length must equal k");
-    assert_eq!(acc.len(), matrix.rows(), "accumulator length must equal n");
-    encode_rows(matrix, &mut SkipZeroPackedLane::new(input, acc));
 }
 
 /// Fused receiver encode (row-major): one pass computing

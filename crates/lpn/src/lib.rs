@@ -28,10 +28,9 @@
 //! |---|---|---|
 //! | [`tile::TileSchedule`] — offline (row-block × column-tile) bucketing of the fixed gather set, executed tile-major | memory-side cache fed by §5.3 offline index sorting | the access stream is known ahead of time, so reorder it **once** so the live window always fits the nearest memory |
 //! | [`bits::PackedBits`] — the receiver's `e`/`u`/`x` bit lane in `u64` words (8× smaller than `Vec<bool>`; `k = 168K` shrinks 168 KB → ~21 KB, L1-resident) | rank-level bandwidth: NMP wins by moving fewer DRAM bytes per useful bit | shrink bytes-per-bit so the same cache holds 8× more of the working set |
-//! | [`sorting::SortedLpnMatrix`] column swap + row look-ahead (offline), composable with tiling via [`sorting::SortedLpnMatrix::tile_schedule`] | §5.3 `Colidx`/`Rowidx` sorting | spatial + temporal locality mined from the fixed matrix offline |
+//! | [`sorting::SortedLpnMatrix`] column swap + row look-ahead (offline); the access order the NMP simulator replays, not a CPU kernel (its row scatter costs more on a CPU than the locality buys) | §5.3 `Colidx`/`Rowidx` sorting | spatial + temporal locality mined from the fixed matrix offline |
 //! | [`encoder::XorLane`] — one generic XOR-accumulate core behind every traversal × element type | the paper's single LPN datapath parameterized by operand width | the kernel is one circuit; only the operand format varies |
 //! | [`simd`] — runtime-dispatched AVX2/BMI2 lanes (XMM 128-bit `Block` XORs, `SHRX` bit probes) behind [`simd::SimdLevel::detect`], scalar fallback always available | the paper's datapath is a *wide* XOR engine (rank-level parallel XOR units) | the XOR circuit is wider than one word; use the widest the hardware offers |
-//! | [`encoder::SkipZeroPackedLane`] — tests each input bit and only accumulates set ones (≈half of a pseudorandom `e` is zero) | NMP skips work per useful bit moved, not per scheduled access | don't spend an operation proving a zero contributes nothing — benched honestly against the branchless lane, which wins when the 50/50 branch mispredicts |
 //!
 //! # Example
 //!

@@ -28,6 +28,11 @@
 //! Both tiers are bit-identical in output (checked by the
 //! `kernel_props` proptests under both forced-scalar and auto
 //! dispatch).
+//!
+//! The entry points are the kernels that won a measurement in
+//! `BENCH_extension.json`: row-major and tiled blocks, row-major packed
+//! bits, and the row-major fused receiver pair. Tiled bit and tiled
+//! pair traversals lost to these at every level and are not offered.
 
 use crate::bits::PackedBits;
 use crate::encoder;
@@ -185,78 +190,6 @@ pub fn encode_bits_packed(
     encoder::encode_rows(matrix, &mut encoder::PackedLane::new(input, acc));
 }
 
-/// Tiled [`encode_bits_packed`] over a prebuilt schedule.
-///
-/// # Panics
-///
-/// Panics if lengths do not match the schedule dimensions.
-#[allow(unsafe_code)]
-pub fn encode_bits_packed_tiled(
-    level: SimdLevel,
-    tiles: &TileSchedule,
-    input: &PackedBits,
-    acc: &mut PackedBits,
-) {
-    assert_eq!(input.len(), tiles.cols(), "input length must equal k");
-    assert_eq!(acc.len(), tiles.rows(), "accumulator length must equal n");
-    #[cfg(target_arch = "x86_64")]
-    if level == SimdLevel::Wide && wide_available() {
-        // SAFETY: AVX2 + BMI2 presence was just verified at runtime.
-        unsafe { wide::encode_bits_packed_tiled(tiles, input, acc) };
-        return;
-    }
-    let _ = level;
-    tiles.encode(&mut encoder::PackedLane::new(input, acc));
-}
-
-/// Skip-zero [`encode_bits_packed`] at the chosen level (row-major).
-///
-/// # Panics
-///
-/// Panics if lengths do not match the matrix dimensions.
-#[allow(unsafe_code)]
-pub fn encode_bits_packed_skipzero(
-    level: SimdLevel,
-    matrix: &LpnMatrix,
-    input: &PackedBits,
-    acc: &mut PackedBits,
-) {
-    assert_eq!(input.len(), matrix.cols(), "input length must equal k");
-    assert_eq!(acc.len(), matrix.rows(), "accumulator length must equal n");
-    #[cfg(target_arch = "x86_64")]
-    if level == SimdLevel::Wide && wide_available() {
-        // SAFETY: AVX2 + BMI2 presence was just verified at runtime.
-        unsafe { wide::encode_bits_packed_skipzero(matrix, input, acc) };
-        return;
-    }
-    let _ = level;
-    encoder::encode_rows(matrix, &mut encoder::SkipZeroPackedLane::new(input, acc));
-}
-
-/// Skip-zero [`encode_bits_packed_tiled`] over a prebuilt schedule.
-///
-/// # Panics
-///
-/// Panics if lengths do not match the schedule dimensions.
-#[allow(unsafe_code)]
-pub fn encode_bits_packed_skipzero_tiled(
-    level: SimdLevel,
-    tiles: &TileSchedule,
-    input: &PackedBits,
-    acc: &mut PackedBits,
-) {
-    assert_eq!(input.len(), tiles.cols(), "input length must equal k");
-    assert_eq!(acc.len(), tiles.rows(), "accumulator length must equal n");
-    #[cfg(target_arch = "x86_64")]
-    if level == SimdLevel::Wide && wide_available() {
-        // SAFETY: AVX2 + BMI2 presence was just verified at runtime.
-        unsafe { wide::encode_bits_packed_skipzero_tiled(tiles, input, acc) };
-        return;
-    }
-    let _ = level;
-    tiles.encode(&mut encoder::SkipZeroPackedLane::new(input, acc));
-}
-
 /// Fused receiver encode (row-major) at the chosen level.
 ///
 /// # Panics
@@ -293,38 +226,6 @@ pub fn encode_cot_pair(
     encoder::encode_rows(matrix, &mut encoder::CotPairLane::new(s, e, y, x));
 }
 
-/// Fused receiver encode (tiled) at the chosen level.
-///
-/// # Panics
-///
-/// Panics if lengths do not match the schedule dimensions.
-#[allow(unsafe_code)]
-pub fn encode_cot_pair_tiled(
-    level: SimdLevel,
-    tiles: &TileSchedule,
-    s: &[Block],
-    e: &PackedBits,
-    y: &mut [Block],
-    x: &mut PackedBits,
-) {
-    assert_eq!(s.len(), tiles.cols(), "block input length must equal k");
-    assert_eq!(e.len(), tiles.cols(), "bit input length must equal k");
-    assert_eq!(
-        y.len(),
-        tiles.rows(),
-        "block accumulator length must equal n"
-    );
-    assert_eq!(x.len(), tiles.rows(), "bit accumulator length must equal n");
-    #[cfg(target_arch = "x86_64")]
-    if level == SimdLevel::Wide && wide_available() {
-        // SAFETY: AVX2 + BMI2 presence was just verified at runtime.
-        unsafe { wide::encode_cot_pair_tiled(tiles, s, e, y, x) };
-        return;
-    }
-    let _ = level;
-    tiles.encode(&mut encoder::CotPairLane::new(s, e, y, x));
-}
-
 /// The wide tier: XMM block lanes + `ShiftProbe` bit lanes, every
 /// traversal compiled under `avx2,bmi2`. The lanes are `#[inline(always)]`
 /// so their bodies inherit the wrapper's target features; the SSE2
@@ -335,7 +236,7 @@ pub fn encode_cot_pair_tiled(
 #[allow(unsafe_code)]
 mod wide {
     use crate::bits::PackedBits;
-    use crate::encoder::{self, PackedLane, ShiftProbe, SkipZeroPackedLane, XorLane};
+    use crate::encoder::{self, PackedLane, ShiftProbe, XorLane};
     use crate::tile::TileSchedule;
     use crate::LpnMatrix;
     use ironman_prg::Block;
@@ -486,27 +387,6 @@ mod wide {
             store(&mut self.y[row], xor128(even, odd));
             self.x.xor_bit(row, parity);
         }
-
-        #[inline(always)]
-        fn xor_gather_bucket(
-            &mut self,
-            row_base: usize,
-            col_base: usize,
-            col_bits: u32,
-            entries: &[u32],
-        ) {
-            let mask = (1u32 << col_bits) - 1;
-            let words = self.e.words();
-            let mut pending = encoder::PendingWord::at(row_base);
-            for &en in entries {
-                let row = row_base + (en >> col_bits) as usize;
-                let col = col_base + (en & mask) as usize;
-                let v = xor128(load(&self.y[row]), load(&self.s[col]));
-                store(&mut self.y[row], v);
-                pending.xor_bit(self.x, row, shift_bit(words, col));
-            }
-            pending.flush(self.x);
-        }
     }
 
     /// `SHRX` bit probe (compiles to one variable shift under BMI2).
@@ -534,38 +414,6 @@ mod wide {
     }
 
     #[target_feature(enable = "avx2", enable = "bmi2")]
-    pub(super) fn encode_bits_packed_tiled(
-        tiles: &TileSchedule,
-        input: &PackedBits,
-        acc: &mut PackedBits,
-    ) {
-        tiles.encode(&mut PackedLane::<ShiftProbe>::with_probe(input, acc));
-    }
-
-    #[target_feature(enable = "avx2", enable = "bmi2")]
-    pub(super) fn encode_bits_packed_skipzero(
-        matrix: &LpnMatrix,
-        input: &PackedBits,
-        acc: &mut PackedBits,
-    ) {
-        encoder::encode_rows(
-            matrix,
-            &mut SkipZeroPackedLane::<ShiftProbe>::with_probe(input, acc),
-        );
-    }
-
-    #[target_feature(enable = "avx2", enable = "bmi2")]
-    pub(super) fn encode_bits_packed_skipzero_tiled(
-        tiles: &TileSchedule,
-        input: &PackedBits,
-        acc: &mut PackedBits,
-    ) {
-        tiles.encode(&mut SkipZeroPackedLane::<ShiftProbe>::with_probe(
-            input, acc,
-        ));
-    }
-
-    #[target_feature(enable = "avx2", enable = "bmi2")]
     pub(super) fn encode_cot_pair(
         matrix: &LpnMatrix,
         s: &[Block],
@@ -574,17 +422,6 @@ mod wide {
         x: &mut PackedBits,
     ) {
         encoder::encode_rows(matrix, &mut XmmCotPairLane { s, e, y, x });
-    }
-
-    #[target_feature(enable = "avx2", enable = "bmi2")]
-    pub(super) fn encode_cot_pair_tiled(
-        tiles: &TileSchedule,
-        s: &[Block],
-        e: &PackedBits,
-        y: &mut [Block],
-        x: &mut PackedBits,
-    ) {
-        tiles.encode(&mut XmmCotPairLane { s, e, y, x });
     }
 }
 
@@ -642,20 +479,8 @@ mod tests {
             best_of(&format!("{level:?} pair row-major"), &mut || {
                 encode_cot_pair(level, &m, &s, &e, &mut y, &mut x)
             });
-            best_of(&format!("{level:?} pair tiled"), &mut || {
-                encode_cot_pair_tiled(level, tiles, &s, &e, &mut y, &mut x)
-            });
             best_of(&format!("{level:?} packed row-major"), &mut || {
                 encode_bits_packed(level, &m, &e, &mut x)
-            });
-            best_of(&format!("{level:?} packed tiled"), &mut || {
-                encode_bits_packed_tiled(level, tiles, &e, &mut x)
-            });
-            best_of(&format!("{level:?} skipzero row-major"), &mut || {
-                encode_bits_packed_skipzero(level, &m, &e, &mut x)
-            });
-            best_of(&format!("{level:?} skipzero tiled"), &mut || {
-                encode_bits_packed_skipzero_tiled(level, tiles, &e, &mut x)
             });
         }
     }
@@ -684,29 +509,14 @@ mod tests {
 
             let mut x_ref = dirty_bits.clone();
             encoder::encode_bits_packed(&m, &e, &mut x_ref);
-            for f in [encode_bits_packed, encode_bits_packed_skipzero] {
-                let mut x = dirty_bits.clone();
-                f(level, &m, &e, &mut x);
-                assert_eq!(x, x_ref, "{level:?} packed bits");
-            }
-            for f in [encode_bits_packed_tiled, encode_bits_packed_skipzero_tiled] {
-                let mut x = dirty_bits.clone();
-                f(level, tiles, &e, &mut x);
-                assert_eq!(x, x_ref, "{level:?} packed bits tiled");
-            }
+            let mut x = dirty_bits.clone();
+            encode_bits_packed(level, &m, &e, &mut x);
+            assert_eq!(x, x_ref, "{level:?} packed bits");
 
             let mut y = dirty.clone();
             let mut x = dirty_bits.clone();
             encode_cot_pair(level, &m, &s, &e, &mut y, &mut x);
-            assert_eq!(
-                (y, x.clone()),
-                (y_ref.clone(), x_ref.clone()),
-                "{level:?} pair"
-            );
-            let mut y = dirty.clone();
-            let mut x = dirty_bits.clone();
-            encode_cot_pair_tiled(level, tiles, &s, &e, &mut y, &mut x);
-            assert_eq!((y, x), (y_ref, x_ref), "{level:?} pair tiled");
+            assert_eq!((y, x), (y_ref, x_ref), "{level:?} pair");
         }
     }
 }

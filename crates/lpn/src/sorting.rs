@@ -18,15 +18,21 @@
 //!
 //! The paper's sorting-overhead mitigation — "divide the matrix into
 //! smaller blocks and sort them separately" — is the `block_rows` knob.
+//!
+//! The sorted order targets the NMP memory-side cache: `ironman-nmp`
+//! replays [`SortedLpnMatrix::access_trace`] and the `ablation_sorting`
+//! bench measures its hit rates. On a CPU the row scatter costs more
+//! than the locality buys (`blocks_sorted` against `blocks_naive` in
+//! `BENCH_extension.json`), so the serving path never encodes through
+//! it; the encodes here exist to prove the sorted order computes the
+//! same product.
 
 use crate::bits::PackedBits;
 use crate::encoder::{self, PackedLane, RowMappedLane, SliceLane, XorLane};
-use crate::tile::{TileConfig, TileSchedule};
 use crate::LpnMatrix;
 use ironman_prg::Block;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
-use std::sync::OnceLock;
 
 /// Blocks (16-byte elements) per 64-byte cache line.
 pub const ELEMS_PER_LINE: usize = 4;
@@ -76,9 +82,6 @@ pub struct SortedLpnMatrix {
     row_order: Vec<u32>,
     /// `col_perm[old]` = new location of input element `old`.
     col_perm: Vec<u32>,
-    /// Cache-blocked schedule composing both permutations with tiling
-    /// (derived state, built on first use).
-    tiles: OnceLock<TileSchedule>,
 }
 
 impl SortedLpnMatrix {
@@ -118,7 +121,6 @@ impl SortedLpnMatrix {
             matrix,
             row_order,
             col_perm,
-            tiles: OnceLock::new(),
         }
     }
 
@@ -241,68 +243,6 @@ impl SortedLpnMatrix {
         );
         let permuted = self.permute_input_packed(input);
         self.encode_sorted(PackedLane::new(&permuted, acc));
-    }
-
-    /// The cache-blocked schedule composing §5.3's permutations with
-    /// tiling: gathers are emitted in look-ahead execution order with
-    /// relabeled columns, then re-bucketed tile-major with the scatter to
-    /// original rows baked into the entries. Built once, cached.
-    /// Inputs handed to the returned schedule must be permuted first
-    /// ([`Self::permute_input`]/[`Self::permute_input_packed`]).
-    pub fn tile_schedule(&self) -> &TileSchedule {
-        self.tiles.get_or_init(|| {
-            TileSchedule::build_with(
-                self.matrix.rows(),
-                self.matrix.cols(),
-                TileConfig::default(),
-                |emit| {
-                    for (pos, &orig_row) in self.row_order.iter().enumerate() {
-                        for &c in self.matrix.row(pos) {
-                            emit(orig_row, c);
-                        }
-                    }
-                },
-            )
-        })
-    }
-
-    /// Tiled [`Self::encode_blocks`] (same output, tile-major traversal).
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths do not match the matrix dimensions.
-    pub fn encode_blocks_tiled(&self, input: &[Block], acc: &mut [Block]) {
-        let permuted = self.permute_input(input);
-        self.tile_schedule().encode_blocks(&permuted, acc);
-    }
-
-    /// Tiled [`Self::encode_bits_packed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths do not match the matrix dimensions.
-    pub fn encode_bits_packed_tiled(&self, input: &PackedBits, acc: &mut PackedBits) {
-        let permuted = self.permute_input_packed(input);
-        self.tile_schedule().encode_bits_packed(&permuted, acc);
-    }
-
-    /// Tiled fused receiver encode over the sorted matrix: both halves
-    /// in one tile-major pass (see [`crate::tile::TileSchedule::encode_cot_pair`]),
-    /// with the column permutation applied to both inputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths do not match the matrix dimensions.
-    pub fn encode_cot_pair_tiled(
-        &self,
-        s: &[Block],
-        e: &PackedBits,
-        y: &mut [Block],
-        x: &mut PackedBits,
-    ) {
-        let s_perm = self.permute_input(s);
-        let e_perm = self.permute_input_packed(e);
-        self.tile_schedule().encode_cot_pair(&s_perm, &e_perm, y, x);
     }
 
     /// The sorted access trace (element indices in execution order) — what

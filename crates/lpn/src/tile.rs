@@ -10,18 +10,18 @@
 //! (row-block × column-tile) buckets and execute bucket-major:
 //!
 //! * within a bucket, every gather reads a `col_tile`-wide input window
-//!   (512 KB of blocks, 4 KB of packed bits at the default tile) that
-//!   stays cache-resident — the role of the paper's memory-side cache;
+//!   (512 KB of blocks at the default tile) that stays cache-resident —
+//!   the role of the paper's memory-side cache;
 //! * buckets of one row block share a `row_block`-wide accumulator
 //!   window (2 MB of blocks at the default), visited in ascending row
 //!   order inside each bucket, so output traffic stays streaming;
 //! * each entry packs `(local_row, local_col)` into one `u32`, so the
 //!   schedule streams exactly as many index bytes as the CSR it replaces.
 //!
-//! The traversal is generic over [`encoder::XorLane`], so the tiled
-//! kernel exists once for blocks, `bool` bits and packed bits.
+//! The traversal is generic over [`encoder::XorLane`]; the block lanes
+//! are the ones that use it. Bit inputs are `k / 8` bytes, cache-resident
+//! without tiling, so their row-major pass wins (`BENCH_extension.json`).
 
-use crate::bits::PackedBits;
 use crate::encoder::{self, XorLane};
 use crate::LpnMatrix;
 use ironman_prg::Block;
@@ -36,9 +36,9 @@ pub struct TileConfig {
     /// order inside each bucket keeps the (L2+L3-resident) accumulator
     /// window prefetch-friendly.
     pub row_block: usize,
-    /// Columns per input tile. The default (32768 = 512 KB of blocks,
-    /// 4 KB of packed bits) keeps the gather window cache-resident where
-    /// the full `k = 168K+` input of Table-4 parameter sets does not fit.
+    /// Columns per input tile. The default (32768 = 512 KB of blocks)
+    /// keeps the gather window cache-resident where the full `k = 168K+`
+    /// input of Table-4 parameter sets does not fit.
     pub col_tile: usize,
 }
 
@@ -69,10 +69,7 @@ pub struct TileSchedule {
     col_tile: usize,
     col_bits: u32,
     /// `(local_row << col_bits) | local_col`, bucket-major: row blocks
-    /// outer, column tiles inner, emission order within a bucket
-    /// (ascending rows for [`TileSchedule::build`]; look-ahead execution
-    /// order for the sorted-matrix composition — lanes may not assume
-    /// ascending).
+    /// outer, column tiles inner, ascending rows within a bucket.
     entries: Vec<u32>,
     /// End offset of each bucket in `entries` (same bucket order).
     bucket_ends: Vec<usize>,
@@ -81,32 +78,12 @@ pub struct TileSchedule {
 impl TileSchedule {
     /// Builds the schedule for `matrix` (row `j` accumulates into
     /// `acc[j]`, exactly like the row-major encoder).
-    pub fn build(matrix: &LpnMatrix, cfg: TileConfig) -> Self {
-        Self::build_with(matrix.rows(), matrix.cols(), cfg, |emit| {
-            for j in 0..matrix.rows() {
-                for &c in matrix.row(j) {
-                    emit(j as u32, c);
-                }
-            }
-        })
-    }
-
-    /// Builds a schedule from an arbitrary gather set: `for_each` must
-    /// emit every `(accumulator_row, input_column)` pair, and is called
-    /// twice (count pass + placement pass). This is how the sorted
-    /// matrix composes its row/column permutations with tiling.
     ///
     /// # Panics
     ///
-    /// Panics if `rows == 0`, `cols == 0`, the geometry cannot pack an
-    /// entry into 32 bits, or an emitted index is out of range.
-    pub fn build_with(
-        rows: usize,
-        cols: usize,
-        cfg: TileConfig,
-        mut for_each: impl FnMut(&mut dyn FnMut(u32, u32)),
-    ) -> Self {
-        assert!(rows > 0 && cols > 0, "schedule dimensions must be positive");
+    /// Panics if the geometry cannot pack an entry into 32 bits.
+    pub fn build(matrix: &LpnMatrix, cfg: TileConfig) -> Self {
+        let (rows, cols) = (matrix.rows(), matrix.cols());
         let row_block = cfg.row_block.max(1).min(rows);
         let col_tile = cfg.col_tile.max(1).min(cols);
         let col_bits = TileConfig {
@@ -122,31 +99,32 @@ impl TileSchedule {
         let n_tiles = cols.div_ceil(col_tile);
 
         // Counting sort into (row-block, tile) buckets: one count pass,
-        // one placement pass, no per-bucket allocations.
+        // one placement pass, no per-bucket allocations. Rows are visited
+        // ascending, so each bucket lists its rows ascending too.
+        let bucket_of =
+            |row: usize, col: u32| (row / row_block) * n_tiles + col as usize / col_tile;
         let mut counts = vec![0usize; n_blocks * n_tiles];
-        let mut total = 0usize;
-        for_each(&mut |row, col| {
-            assert!(
-                (row as usize) < rows && (col as usize) < cols,
-                "entry out of range"
-            );
-            counts[(row as usize / row_block) * n_tiles + col as usize / col_tile] += 1;
-            total += 1;
-        });
+        for row in 0..rows {
+            for &col in matrix.row(row) {
+                counts[bucket_of(row, col)] += 1;
+            }
+        }
         let mut cursors = Vec::with_capacity(counts.len());
         let mut acc = 0usize;
         for &c in &counts {
             cursors.push(acc);
             acc += c;
         }
-        let mut entries = vec![0u32; total];
-        for_each(&mut |row, col| {
-            let bucket = (row as usize / row_block) * n_tiles + col as usize / col_tile;
-            let local_row = (row as usize % row_block) as u32;
-            let local_col = (col as usize % col_tile) as u32;
-            entries[cursors[bucket]] = (local_row << col_bits) | local_col;
-            cursors[bucket] += 1;
-        });
+        let mut entries = vec![0u32; matrix.colidx().len()];
+        for row in 0..rows {
+            for &col in matrix.row(row) {
+                let bucket = bucket_of(row, col);
+                let local_row = (row % row_block) as u32;
+                let local_col = col % col_tile as u32;
+                entries[cursors[bucket]] = (local_row << col_bits) | local_col;
+                cursors[bucket] += 1;
+            }
+        }
         TileSchedule {
             rows,
             cols,
@@ -168,7 +146,7 @@ impl TileSchedule {
         self.cols
     }
 
-    /// Total gathers in the schedule (`n·d` for a plain matrix).
+    /// Total gathers in the schedule (`n·d`).
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -179,7 +157,7 @@ impl TileSchedule {
     }
 
     /// The tile-major traversal — the single tiled kernel, generic over
-    /// the lane (blocks, `bool` bits, packed bits, the fused pair).
+    /// the lane.
     pub fn encode(&self, lane: &mut impl XorLane) {
         let n_tiles = self.cols.div_ceil(self.col_tile);
         let mut start = 0usize;
@@ -200,49 +178,6 @@ impl TileSchedule {
         assert_eq!(input.len(), self.cols, "input length must equal k");
         assert_eq!(acc.len(), self.rows, "accumulator length must equal n");
         self.encode(&mut encoder::SliceLane { input, acc });
-    }
-
-    /// Tiled [`encoder::encode_bits`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths do not match the schedule dimensions.
-    pub fn encode_bits(&self, input: &[bool], acc: &mut [bool]) {
-        assert_eq!(input.len(), self.cols, "input length must equal k");
-        assert_eq!(acc.len(), self.rows, "accumulator length must equal n");
-        self.encode(&mut encoder::SliceLane { input, acc });
-    }
-
-    /// Tiled [`encoder::encode_bits_packed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths do not match the schedule dimensions.
-    pub fn encode_bits_packed(&self, input: &PackedBits, acc: &mut PackedBits) {
-        assert_eq!(input.len(), self.cols, "input length must equal k");
-        assert_eq!(acc.len(), self.rows, "accumulator length must equal n");
-        self.encode(&mut encoder::PackedLane::new(input, acc));
-    }
-
-    /// Tiled fused receiver encode: both halves (`y ^= s·A`,
-    /// `x ^= e·A`) in one tile-major pass over the index stream — see
-    /// [`encoder::CotPairLane`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths do not match the schedule dimensions.
-    pub fn encode_cot_pair(
-        &self,
-        s: &[Block],
-        e: &PackedBits,
-        y: &mut [Block],
-        x: &mut PackedBits,
-    ) {
-        assert_eq!(s.len(), self.cols, "block input length must equal k");
-        assert_eq!(e.len(), self.cols, "bit input length must equal k");
-        assert_eq!(y.len(), self.rows, "block accumulator length must equal n");
-        assert_eq!(x.len(), self.rows, "bit accumulator length must equal n");
-        self.encode(&mut encoder::CotPairLane::new(s, e, y, x));
     }
 
     /// The input-column trace in execution order — comparable against
@@ -297,22 +232,6 @@ mod tests {
         encoder::encode_blocks(&m, &input, &mut plain);
         s.encode_blocks(&input, &mut tiled);
         assert_eq!(plain, tiled);
-    }
-
-    #[test]
-    fn tiled_bits_match_row_major() {
-        let m = matrix();
-        let s = TileSchedule::build(&m, small_cfg());
-        let input: Vec<bool> = (0..m.cols()).map(|i| i % 3 == 1).collect();
-        let mut plain: Vec<bool> = (0..m.rows()).map(|j| j % 7 == 0).collect();
-        let mut tiled = plain.clone();
-        let packed_input = PackedBits::from_bools(&input);
-        let mut packed = PackedBits::from_bools(&tiled);
-        encoder::encode_bits(&m, &input, &mut plain);
-        s.encode_bits(&input, &mut tiled);
-        s.encode_bits_packed(&packed_input, &mut packed);
-        assert_eq!(plain, tiled);
-        assert_eq!(packed.to_bools(), plain);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Kernel-equivalence properties: every LPN kernel variant — row-major
-//! naive, cache-blocked tiled (arbitrary geometries), §5.3-sorted,
-//! sorted+tiled, packed bits, the fused receiver pair, the skip-zero
-//! probe lanes, and the whole [`ironman_lpn::simd`] dispatch layer at
-//! every runtime-available SIMD level (scalar always; AVX2/BMI2 where
-//! the host has it) — computes the same GF(2)/GF(2^128) product, onto
-//! dirty accumulators, across matrix shapes including the `toy()` and
-//! `OT_2POW20` parameter classes. Iterating `SimdLevel::available()`
+//! naive, cache-blocked tiled blocks (arbitrary geometries), packed
+//! bits, the fused receiver pair, every [`ironman_lpn::simd`] entry
+//! point at every runtime-available SIMD level (scalar always; AVX2/BMI2
+//! where the host has it), and the §5.3-sorted encodes — computes the
+//! same GF(2)/GF(2^128) product, onto dirty accumulators, across matrix
+//! shapes including the `toy()` and `OT_2POW20` parameter classes. Iterating `SimdLevel::available()`
 //! covers both the forced-scalar and auto-detected dispatch outcomes
 //! without racing on the `IRONMAN_SIMD` process environment.
 
@@ -60,29 +59,20 @@ fn assert_all_kernels_equal(m: &LpnMatrix, tile_cfg: TileConfig, sort_cfg: SortC
     m.tile_schedule().encode_blocks(&s, &mut y);
     assert_eq!(y, y_ref, "default-schedule blocks");
 
-    // Packed bits: row-major and tiled.
+    // Packed bits.
     let mut x = PackedBits::from_bools(&dirty_bits);
     encoder::encode_bits_packed(m, &e_packed, &mut x);
     assert_eq!(x.to_bools(), x_ref, "packed bits");
-    let mut x = PackedBits::from_bools(&dirty_bits);
-    tiles.encode_bits_packed(&e_packed, &mut x);
-    assert_eq!(x.to_bools(), x_ref, "tiled packed bits ({tile_cfg:?})");
 
-    // Fused receiver pair: row-major and tiled.
+    // Fused receiver pair.
     let mut y = dirty_blocks.clone();
     let mut x = PackedBits::from_bools(&dirty_bits);
     encoder::encode_cot_pair(m, &s, &e_packed, &mut y, &mut x);
     assert_eq!(y, y_ref, "fused row-major blocks");
     assert_eq!(x.to_bools(), x_ref, "fused row-major bits");
-    let mut y = dirty_blocks.clone();
-    let mut x = PackedBits::from_bools(&dirty_bits);
-    tiles.encode_cot_pair(&s, &e_packed, &mut y, &mut x);
-    assert_eq!(y, y_ref, "fused tiled blocks");
-    assert_eq!(x.to_bools(), x_ref, "fused tiled bits");
 
     // The simd dispatch layer: every entry point × every level the host
-    // can actually run (Scalar everywhere; Wide on AVX2+BMI2 machines),
-    // including both skip-zero probe lanes.
+    // can actually run (Scalar everywhere; Wide on AVX2+BMI2 machines).
     for &level in SimdLevel::available() {
         let mut y = dirty_blocks.clone();
         simd::encode_blocks(level, m, &s, &mut y);
@@ -94,50 +84,27 @@ fn assert_all_kernels_equal(m: &LpnMatrix, tile_cfg: TileConfig, sort_cfg: SortC
         let mut x = PackedBits::from_bools(&dirty_bits);
         simd::encode_bits_packed(level, m, &e_packed, &mut x);
         assert_eq!(x.to_bools(), x_ref, "simd packed bits ({level:?})");
-        let mut x = PackedBits::from_bools(&dirty_bits);
-        simd::encode_bits_packed_tiled(level, &tiles, &e_packed, &mut x);
-        assert_eq!(x.to_bools(), x_ref, "simd tiled packed bits ({level:?})");
-
-        let mut x = PackedBits::from_bools(&dirty_bits);
-        simd::encode_bits_packed_skipzero(level, m, &e_packed, &mut x);
-        assert_eq!(x.to_bools(), x_ref, "skip-zero packed bits ({level:?})");
-        let mut x = PackedBits::from_bools(&dirty_bits);
-        simd::encode_bits_packed_skipzero_tiled(level, &tiles, &e_packed, &mut x);
-        assert_eq!(
-            x.to_bools(),
-            x_ref,
-            "skip-zero tiled packed bits ({level:?})"
-        );
 
         let mut y = dirty_blocks.clone();
         let mut x = PackedBits::from_bools(&dirty_bits);
         simd::encode_cot_pair(level, m, &s, &e_packed, &mut y, &mut x);
         assert_eq!(y, y_ref, "simd fused blocks ({level:?})");
         assert_eq!(x.to_bools(), x_ref, "simd fused bits ({level:?})");
-        let mut y = dirty_blocks.clone();
-        let mut x = PackedBits::from_bools(&dirty_bits);
-        simd::encode_cot_pair_tiled(level, &tiles, &s, &e_packed, &mut y, &mut x);
-        assert_eq!(y, y_ref, "simd fused tiled blocks ({level:?})");
-        assert_eq!(x.to_bools(), x_ref, "simd fused tiled bits ({level:?})");
     }
 
-    // Sorted, sorted+tiled, sorted packed, sorted fused.
+    // §5.3-sorted: the order the NMP model replays computes the same
+    // product.
     for strategy in [SortStrategy::ColumnOnly, SortStrategy::Full] {
         let sorted = SortedLpnMatrix::sort_with(m, sort_cfg, strategy);
         let mut y = dirty_blocks.clone();
         sorted.encode_blocks(&s, &mut y);
         assert_eq!(y, y_ref, "sorted blocks ({strategy:?})");
-        let mut y = dirty_blocks.clone();
-        sorted.encode_blocks_tiled(&s, &mut y);
-        assert_eq!(y, y_ref, "sorted tiled blocks ({strategy:?})");
+        let mut x = dirty_bits.clone();
+        sorted.encode_bits(&e, &mut x);
+        assert_eq!(x, x_ref, "sorted bits ({strategy:?})");
         let mut x = PackedBits::from_bools(&dirty_bits);
         sorted.encode_bits_packed(&e_packed, &mut x);
         assert_eq!(x.to_bools(), x_ref, "sorted packed bits ({strategy:?})");
-        let mut y = dirty_blocks.clone();
-        let mut x = PackedBits::from_bools(&dirty_bits);
-        sorted.encode_cot_pair_tiled(&s, &e_packed, &mut y, &mut x);
-        assert_eq!(y, y_ref, "sorted fused blocks ({strategy:?})");
-        assert_eq!(x.to_bools(), x_ref, "sorted fused bits ({strategy:?})");
     }
 }
 
@@ -178,7 +145,7 @@ proptest! {
 
     /// The `OT_2POW20` shape (n ≈ 7.3k, d = 10) at 1/100 linear scale,
     /// keeping the n:k ratio, plus the production tile geometry scaled
-    /// the same way — the shape the tiled kernels were built for.
+    /// the same way — the shape the tiled block kernel was built for.
     #[test]
     fn all_kernels_agree_on_ot2pow20_class(seed in any::<u64>()) {
         let m = LpnMatrix::generate(12_215, 1_680, 10, Block::from(seed as u128));

@@ -41,11 +41,11 @@ pub const MAGIC: [u8; 4] = *b"IRNM";
 /// `Stats` reply grew the hot-path observability counters
 /// (scratch-buffer reuse/allocation and session-registration failures);
 /// **4** — dynamic cluster membership: `Hello` carries the client's
-/// directory epoch, `Sync`/`DirectoryUpdate` exchange membership deltas,
-/// stale-epoch requests are fenced with `WrongEpoch`, `Warm`/`Warmed`
-/// expose budgeted refill steering, and the `Stats` reply carries the
-/// directory epoch, pending streamed demand, and per-shard demand/refill
-/// counters; **5** — per-shard `Stats` entries grew the raw-supply
+/// directory epoch, a scalar-epoch request/reply pair exchanges
+/// membership deltas, stale-epoch requests are fenced with `WrongEpoch`,
+/// `Warm`/`Warmed` expose budgeted refill steering, and the `Stats`
+/// reply carries the directory epoch, pending streamed demand, and
+/// per-shard demand/refill counters; **5** — per-shard `Stats` entries grew the raw-supply
 /// pressure counters (pipelined-session extensions and staging-buffer
 /// stalls), making "demand outruns the extension rate" observable;
 /// **6** — fleet telemetry: the `Stats` reply carries log-bucketed
@@ -67,8 +67,10 @@ pub const MAGIC: [u8; 4] = *b"IRNM";
 /// `Gossip`/`GossipDelta` pair runs anti-entropy convergence between
 /// directory replicas, and a draining server announces its ring
 /// successor in-stream with the `DrainHandoff` push so failover costs
-/// the client zero extra roundtrips.
-pub const VERSION: u16 = 9;
+/// the client zero extra roundtrips; **10** — a removal: the v4
+/// scalar-epoch membership resync (opcodes `0x08`/`0x88`) is retired,
+/// leaving the `Gossip` pull as the only resync.
+pub const VERSION: u16 = 10;
 
 /// Per-frame header size (the `u32` length prefix).
 pub const FRAME_HEADER_LEN: usize = 4;

@@ -16,8 +16,8 @@
 //!   one-shot (`Hello`, `RequestCot{n}`, `Stats`, `Shutdown`), the v2
 //!   streaming mode (`Subscribe{batch, credits}`, `Credit{n}`,
 //!   `Unsubscribe` answered by pushed `CotChunk`s and a `StreamEnd`
-//!   accounting trailer) with credit-based backpressure, and the v4
-//!   membership ops (`Sync{epoch}` answered by `DirectoryUpdate`,
+//!   accounting trailer) with credit-based backpressure, and the
+//!   membership ops (`Gossip{from, vector}` answered by `GossipDelta`,
 //!   `Warm{watermark, max_refills}` answered by `Warmed`, and the
 //!   `WrongEpoch` fence).
 //! * [`service`] — [`CotService`]: a thread-per-connection server over a
@@ -135,7 +135,7 @@
 //! `bytes_sent`; the real wire adds exactly 4 bytes per message plus the
 //! 6-byte handshake (see [`StreamTransport::wire_bytes_sent`]).
 //!
-//! # Membership epochs (v4)
+//! # Membership epochs
 //!
 //! A server attached to a [`DirectoryView`] carries an epoch-versioned
 //! view of its fleet's membership; the epoch increases monotonically on
@@ -149,13 +149,11 @@
 //!   a stale epoch is **fenced** with `WrongEpoch{epoch}` instead of
 //!   served: the client's view predates a membership change, and serving
 //!   it could hide a drain or route work to a corpse. Control ops
-//!   (`Stats`, `Sync`, `Warm`, `Shutdown`) are never fenced.
-//! * `Sync{epoch}` answers with `DirectoryUpdate{epoch, full, members}`
-//!   — the membership changes since the client's epoch, deduplicated to
-//!   each member's latest state (`Left` records removals), or a complete
-//!   snapshot (`full = true`) when the server's bounded change log no
-//!   longer reaches back that far. After a `Sync` the session is current
-//!   and passes the fence until the directory moves again.
+//!   (`Stats`, `Gossip`, `Warm`, `Shutdown`) are never fenced.
+//! * A fenced client resyncs with the `Gossip` pull (see "Directory
+//!   replication" below): the answer carries every record its epoch
+//!   vector lacks, and afterwards the session is current and passes the
+//!   fence until the directory moves again.
 //! * `Warm{watermark, max_refills}` runs one budgeted warm-up sweep
 //!   (driest shards first) and answers `Warmed{refills}` — the hook a
 //!   fleet-level controller steers refill budget through, using the
@@ -306,8 +304,7 @@
 //!   receiver survive. Pulls piggyback on the health-probe cadence
 //!   (`ironman-cluster`'s `Gossiper`); a client can present
 //!   `from = u64::MAX` to sync its routing view without announcing
-//!   itself. After a gossip exchange the session is epoch-current, like
-//!   a v4 `Sync`.
+//!   itself. After a gossip exchange the session is epoch-current.
 //! * **Membership writes** stay local to a replica and spread by being
 //!   pulled: joins self-announce (a member that finds its own record
 //!   evicted re-announces over the tombstone with a winning stamp),

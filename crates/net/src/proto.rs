@@ -17,9 +17,8 @@
 //!                  credits: u64 }       0x85 CotChunk  { seq: u64, batch }
 //! 0x06 Credit    { n: u64 }             0x86 StreamEnd { chunks: u64, cots: u64 }
 //! 0x07 Unsubscribe                      0x87 WrongEpoch{ epoch: u64 }
-//! 0x08 Sync      { epoch: u64 }         0x88 DirUpdate { epoch: u64, full: u8,
-//! 0x09 Warm      { watermark: u64,                       m, m × member }
-//!                  max_refills: u64 }   0x89 Warmed    { refills: u64 }
+//! 0x09 Warm      { watermark: u64,      0x89 Warmed    { refills: u64 }
+//!                  max_refills: u64 }
 //! 0x0A Trace     { max_events: u64 }    0x8A TraceDump { e, e × event }
 //! 0x0B Gossip    { from: u64,           0x8B Unavail   { retry_after_ms: u64 }
 //!                  v, v × vec-entry }   0x8C GossipDelta { delta }
@@ -37,7 +36,9 @@
 //! origin: u64, version: u64, addr: lp-bytes, name: lp-bytes}`;
 //! `vec-entry` = `{origin: u64, version: u64}`; `delta` = `{epoch: u64,
 //! full: u8, v, v × vec-entry, m, m × member}`; `event` = `{at: u64,
-//! kind: u8, arg: u64}`.)
+//! kind: u8, arg: u64}`. Opcodes `0x08`/`0x88` are retired — the v4
+//! scalar-epoch membership resync, removed in v10 — and decode as
+//! malformed like any unknown opcode.)
 //!
 //! # Streaming subscriptions (v2)
 //!
@@ -61,10 +62,8 @@
 //! (`RequestCot`/`Subscribe`) made under a stale epoch is *fenced* with
 //! `WrongEpoch{epoch}` instead of served — the client's routing view is
 //! out of date, and serving it could hide a drain or a dead home. The
-//! client then sends `Sync{epoch}` and receives
-//! `DirectoryUpdate{epoch, full, members}` — the membership delta since
-//! its epoch (or a full snapshot when the server's change log no longer
-//! reaches back that far) — applies it, re-resolves, and retries. `Warm`
+//! client then pulls the membership it lacks with `Gossip` (see below),
+//! applies it, re-resolves, and retries. `Warm`
 //! asks the server to run one budgeted warm-up sweep (at most
 //! `max_refills` shards, driest first); the fleet-level warm-up
 //! controller in `ironman-cluster` steers its global refill budget
@@ -135,12 +134,6 @@ pub enum Request {
     /// Ends the active subscription; the server answers with
     /// [`Response::StreamEnd`] once it has stopped pushing.
     Unsubscribe,
-    /// Announces the client's directory epoch and asks for the membership
-    /// delta since it; answered with [`Response::DirectoryUpdate`].
-    Sync {
-        /// The epoch of the client's current membership view.
-        epoch: u64,
-    },
     /// Asks the server to run one budgeted warm-up sweep over its pool
     /// (at most `max_refills` shard refills, driest shards first);
     /// answered with [`Response::Warmed`]. The fleet-level warm-up
@@ -207,13 +200,11 @@ pub enum Response {
         cots: u64,
     },
     /// The request was fenced: it was made under a directory epoch older
-    /// than the server's. Sync the delta, re-resolve, retry.
+    /// than the server's. Pull the delta (`Gossip`), re-resolve, retry.
     WrongEpoch {
         /// The server's current directory epoch.
         epoch: u64,
     },
-    /// The membership delta answering a [`Request::Sync`].
-    DirectoryUpdate(DirectoryDelta),
     /// Acknowledges a [`Request::Warm`] sweep.
     Warmed {
         /// Shards actually refilled by the sweep.
@@ -318,10 +309,11 @@ pub struct MemberRecord {
     pub name: String,
 }
 
-/// A membership update: either the changes since the requester's epoch
-/// (`full == false`; [`MemberWireState::Left`] records removals) or a
-/// complete snapshot (`full == true`, sent when the server's change log
-/// no longer reaches back to the requested epoch).
+/// A membership update: the records the requester's epoch vector does
+/// not cover ([`MemberWireState::Left`] records removals). `full` marks
+/// a complete snapshot: its receiver also drops members absent from it
+/// whose stamps the sender's vector covers. `Gossip` answers are never
+/// full (anti-entropy merges record by record).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DirectoryDelta {
     /// The epoch this update brings the receiver to.
@@ -514,7 +506,6 @@ const OP_SHUTDOWN: u8 = 0x04;
 const OP_SUBSCRIBE: u8 = 0x05;
 const OP_CREDIT: u8 = 0x06;
 const OP_UNSUBSCRIBE: u8 = 0x07;
-const OP_SYNC: u8 = 0x08;
 const OP_WARM: u8 = 0x09;
 const OP_TRACE: u8 = 0x0A;
 const OP_GOSSIP: u8 = 0x0B;
@@ -525,7 +516,6 @@ const OP_GOODBYE: u8 = 0x84;
 const OP_COT_CHUNK: u8 = 0x85;
 const OP_STREAM_END: u8 = 0x86;
 const OP_WRONG_EPOCH: u8 = 0x87;
-const OP_DIRECTORY_UPDATE: u8 = 0x88;
 const OP_WARMED: u8 = 0x89;
 const OP_TRACE_DUMP: u8 = 0x8A;
 const OP_UNAVAILABLE: u8 = 0x8B;
@@ -668,8 +658,8 @@ fn read_vector(r: &mut Reader<'_>, rest: &[u8]) -> Result<Vec<(u64, u64)>, Chann
     (0..count).map(|_| Ok((r.u64()?, r.u64()?))).collect()
 }
 
-/// Appends the shared [`DirectoryDelta`] layout (`epoch, full, vector,
-/// m, m × member`) used by both `DirectoryUpdate` and `GossipDelta`.
+/// Appends the [`DirectoryDelta`] layout (`epoch, full, vector, m, m ×
+/// member`) of a `GossipDelta`.
 fn encode_delta_into(out: &mut Vec<u8>, delta: &DirectoryDelta) {
     out.extend_from_slice(&delta.epoch.to_le_bytes());
     out.push(u8::from(delta.full));
@@ -686,7 +676,7 @@ fn encode_delta_into(out: &mut Vec<u8>, delta: &DirectoryDelta) {
     }
 }
 
-/// Parses the shared [`DirectoryDelta`] layout. A hostile member count
+/// Parses the [`DirectoryDelta`] layout. A hostile member count
 /// must not drive allocation past the actual payload
 /// ([`MEMBER_RECORD_MIN_LEN`] bytes is the smallest member record).
 fn read_delta<'a>(r: &mut Reader<'a>, rest: &'a [u8]) -> Result<DirectoryDelta, ChannelError> {
@@ -884,11 +874,6 @@ impl Request {
                 out
             }
             Request::Unsubscribe => vec![OP_UNSUBSCRIBE],
-            Request::Sync { epoch } => {
-                let mut out = vec![OP_SYNC];
-                out.extend_from_slice(&epoch.to_le_bytes());
-                out
-            }
             Request::Warm {
                 watermark,
                 max_refills,
@@ -935,7 +920,6 @@ impl Request {
             },
             OP_CREDIT => Request::Credit { n: r.u64()? },
             OP_UNSUBSCRIBE => Request::Unsubscribe,
-            OP_SYNC => Request::Sync { epoch: r.u64()? },
             OP_WARM => Request::Warm {
                 watermark: r.u64()?,
                 max_refills: r.u64()?,
@@ -1020,10 +1004,6 @@ impl Response {
             Response::WrongEpoch { epoch } => {
                 out.push(OP_WRONG_EPOCH);
                 out.extend_from_slice(&epoch.to_le_bytes());
-            }
-            Response::DirectoryUpdate(delta) => {
-                out.push(OP_DIRECTORY_UPDATE);
-                encode_delta_into(out, delta);
             }
             Response::GossipDelta(delta) => {
                 out.push(OP_GOSSIP_DELTA);
@@ -1147,7 +1127,6 @@ impl Response {
                 cots: r.u64()?,
             },
             OP_WRONG_EPOCH => Response::WrongEpoch { epoch: r.u64()? },
-            OP_DIRECTORY_UPDATE => Response::DirectoryUpdate(read_delta(&mut r, rest)?),
             OP_GOSSIP_DELTA => Response::GossipDelta(read_delta(&mut r, rest)?),
             OP_DRAIN_HANDOFF => Response::DrainHandoff {
                 id: r.u64()?,
@@ -1294,7 +1273,6 @@ mod tests {
         });
         round_trip_request(Request::Credit { n: 3 });
         round_trip_request(Request::Unsubscribe);
-        round_trip_request(Request::Sync { epoch: 41 });
         round_trip_request(Request::Warm {
             watermark: 9000,
             max_refills: 2,
@@ -1349,9 +1327,8 @@ mod tests {
                 },
             ],
         };
-        round_trip_response(Response::DirectoryUpdate(delta.clone()));
         round_trip_response(Response::GossipDelta(delta));
-        round_trip_response(Response::DirectoryUpdate(DirectoryDelta {
+        round_trip_response(Response::GossipDelta(DirectoryDelta {
             epoch: 1,
             full: true,
             vector: Vec::new(),
@@ -1510,14 +1487,12 @@ mod tests {
 
     #[test]
     fn hostile_member_count_rejected_without_allocation() {
-        for op in [OP_DIRECTORY_UPDATE, OP_GOSSIP_DELTA] {
-            let mut bytes = vec![op];
-            bytes.extend_from_slice(&7u64.to_le_bytes()); // epoch
-            bytes.push(0); // full
-            bytes.extend_from_slice(&0u64.to_le_bytes()); // empty vector
-            bytes.extend_from_slice(&u64::MAX.to_le_bytes()); // member count
-            assert!(Response::decode(&bytes).is_err());
-        }
+        let mut bytes = vec![OP_GOSSIP_DELTA];
+        bytes.extend_from_slice(&7u64.to_le_bytes()); // epoch
+        bytes.push(0); // full
+        bytes.extend_from_slice(&0u64.to_le_bytes()); // empty vector
+        bytes.extend_from_slice(&u64::MAX.to_le_bytes()); // member count
+        assert!(Response::decode(&bytes).is_err());
     }
 
     #[test]

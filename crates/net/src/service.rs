@@ -60,29 +60,17 @@ type SessionTransport = StreamTransport<FaultyStream<TcpStream>, FaultyStream<Tc
 /// constructed without one (the plain single-server shape) never fences
 /// requests and reports epoch 0.
 ///
-/// The first two methods are the whole fencing contract: `epoch` tells
-/// the serve path whether a session's announced epoch is stale, and
-/// `delta_since` builds the `DirectoryUpdate` that brings the session
-/// current again. The remaining two are the v9 replication surface,
-/// with defaults that keep pre-replication directories working
-/// unchanged: `gossip_delta` answers an anti-entropy `Gossip` pull, and
-/// `successor_for` names the drain-handoff successor a subscription
-/// push loop should announce.
+/// `epoch` tells the serve path whether a session's announced epoch is
+/// stale; `gossip_delta` answers the anti-entropy `Gossip` pull that
+/// brings it (or a peer replica) current again; `successor_for` names
+/// the drain-handoff successor a subscription push loop should announce.
 pub trait DirectoryView: Send + Sync + std::fmt::Debug {
     /// The directory's current epoch (monotonically increasing).
     fn epoch(&self) -> u64;
 
-    /// The membership changes between `epoch` and now (or a full
-    /// snapshot when the change log no longer reaches back that far).
-    fn delta_since(&self, epoch: u64) -> DirectoryDelta;
-
     /// The anti-entropy answer to a peer presenting its per-origin
-    /// epoch `vector`: every record the vector does not cover, or
-    /// `None` from a directory without replication support (the server
-    /// then answers the `Gossip` request with an error).
-    fn gossip_delta(&self, _vector: &[(u64, u64)]) -> Option<DirectoryDelta> {
-        None
-    }
+    /// epoch `vector`: every record the vector does not cover.
+    fn gossip_delta(&self, vector: &[(u64, u64)]) -> DirectoryDelta;
 
     /// The `Up` member a draining server `self_id` should hand
     /// `session`'s stream to — `Some` only while `self_id` is actually
@@ -464,8 +452,8 @@ impl CotService {
     /// Like [`CotService::serve_on`], but attaches an epoch-versioned
     /// membership directory: epoch-aware sessions whose announced epoch
     /// falls behind the directory's are fenced with
-    /// [`Response::WrongEpoch`] and brought current through
-    /// `Sync`/`DirectoryUpdate`.
+    /// [`Response::WrongEpoch`] and brought current through a `Gossip`
+    /// pull.
     pub fn serve_on_with(
         listener: TcpListener,
         pool: Arc<SharedCotPool>,
@@ -529,7 +517,7 @@ impl CotService {
     /// requests (`RequestCot`/`Subscribe`) are declined with
     /// [`Response::Unavailable`] carrying the remaining wait as its
     /// `retry_after_ms` hint, instead of hanging or hard-failing clients.
-    /// Control ops (`Stats`, `Sync`, `Warm`, `Shutdown`, `Trace`) keep
+    /// Control ops (`Stats`, `Gossip`, `Warm`, `Shutdown`, `Trace`) keep
     /// working — a degraded server stays observable. The gate reopens by
     /// itself when the window elapses, or early via
     /// [`CotService::clear_unavailable`].
@@ -742,8 +730,9 @@ fn serve_session<R: Read, W: Write>(
     shared: &ServiceShared,
 ) -> Result<(), ChannelError> {
     let max_request = shared.pool.max_request() as u64;
-    // The directory epoch this session last announced (`Hello`/`Sync`);
-    // `None` for epoch-unaware sessions, which are never fenced.
+    // The directory epoch this session last announced (`Hello`) or
+    // pulled (`Gossip`); `None` for epoch-unaware sessions, which are
+    // never fenced.
     let mut session_epoch: Option<u64> = None;
     // The session name from `Hello` — the ring-placement key the drain
     // handoff resolves the successor of.
@@ -877,33 +866,16 @@ fn serve_session<R: Read, W: Write>(
                 scratch.begin();
                 encode_error_into(scratch.buf(), "no active subscription");
             }
-            Request::Sync { epoch } => {
+            Request::Gossip { from: _, vector } => {
+                // Anti-entropy pull (v9): answer the peer's epoch vector
+                // with every record it has not seen. A successful pull
+                // brings the session to the directory's current epoch, so
+                // the next serving request passes the fence without a
+                // second round trip.
                 scratch.begin();
                 match &shared.directory {
                     Some(directory) => {
-                        let delta = directory.delta_since(epoch);
-                        // The delta brings the session to the directory's
-                        // current epoch; record it so the next serving
-                        // request passes the fence.
-                        session_epoch = Some(delta.epoch);
-                        Response::DirectoryUpdate(delta).encode_into(scratch.buf());
-                    }
-                    None => encode_error_into(scratch.buf(), "no directory attached"),
-                }
-            }
-            Request::Gossip { from: _, vector } => {
-                // Anti-entropy pull (v9): answer the peer's epoch vector
-                // with every record it has not seen. Like `Sync`, a
-                // successful pull brings the session current for the
-                // fence — a vector-resyncing client passes it without a
-                // second round trip.
-                scratch.begin();
-                match shared
-                    .directory
-                    .as_ref()
-                    .and_then(|d| d.gossip_delta(&vector))
-                {
-                    Some(delta) => {
+                        let delta = directory.gossip_delta(&vector);
                         session_epoch = Some(delta.epoch);
                         Response::GossipDelta(delta).encode_into(scratch.buf());
                     }
@@ -1159,7 +1131,7 @@ pub struct CotClient {
     ch: TcpTransport,
     max_request: u64,
     /// The server's directory epoch as of the last `Welcome` or
-    /// `DirectoryUpdate` (0 for a directory-less server).
+    /// `GossipDelta` (0 for a directory-less server).
     server_epoch: u64,
     /// Retained frame receive buffer (the wire side of the zero-copy
     /// receive path).
@@ -1189,7 +1161,7 @@ impl CotClient {
     /// Connects announcing the caller's directory epoch: the server will
     /// fence correlation-serving requests with
     /// [`ChannelError::WrongEpoch`] once its directory moves past it
-    /// (resync with [`CotClient::sync_directory`]). Deadlines as in
+    /// (resync with [`CotClient::gossip`]). Deadlines as in
     /// [`CotClient::connect`].
     ///
     /// # Errors
@@ -1307,42 +1279,21 @@ impl CotClient {
     }
 
     /// The server's directory epoch as last observed (from `Welcome` or
-    /// the most recent [`CotClient::sync_directory`]).
+    /// the most recent [`CotClient::gossip`]).
     pub fn server_epoch(&self) -> u64 {
         self.server_epoch
-    }
-
-    /// Announces `have_epoch` as this session's directory epoch and
-    /// fetches the membership delta since it. After this call the
-    /// session passes the server's fence until the directory moves again.
-    ///
-    /// # Errors
-    ///
-    /// Fails on transport errors, on a server without a directory, or an
-    /// unexpected response.
-    pub fn sync_directory(&mut self, have_epoch: u64) -> Result<DirectoryDelta, ChannelError> {
-        self.ch
-            .send_bytes(Request::Sync { epoch: have_epoch }.encode())?;
-        match Response::decode(&self.ch.recv_bytes()?)? {
-            Response::DirectoryUpdate(delta) => {
-                self.server_epoch = delta.epoch;
-                Ok(delta)
-            }
-            other => Err(reject(other)),
-        }
     }
 
     /// Anti-entropy pull (v9): presents `vector` (this side's per-origin
     /// epoch vector, `from` identifying the pulling replica —
     /// `u64::MAX` for unattributed pullers like clients) and returns
     /// every membership record the vector does not cover. Also brings
-    /// this session current for the server's epoch fence, so a
-    /// vector-based resync needs no separate `Sync` round trip.
+    /// this session current for the server's epoch fence.
     ///
     /// # Errors
     ///
-    /// Fails on transport errors, on a server without a
-    /// replication-capable directory, or an unexpected response.
+    /// Fails on transport errors, on a server without a directory, or
+    /// an unexpected response.
     pub fn gossip(
         &mut self,
         from: u64,

@@ -5,7 +5,9 @@
 //! on arbitrary input — including input mangled by the seeded fault
 //! injector (v8): bit flips, truncating resets, and partial writes
 //! driven through `FaultyStream` must surface as typed errors (or a
-//! clean round-trip when the corruption missed), never a panic.
+//! clean round-trip when the corruption missed), never a panic. The
+//! opcodes wire v10 retired must decode as malformed, never as another
+//! message.
 
 use ironman_core::CotBatch;
 use ironman_net::frame::{encode_frame, read_frame_into, write_frame};
@@ -14,6 +16,7 @@ use ironman_net::proto::{
     ServiceStats, ShardStat,
 };
 use ironman_net::{FaultInjector, FaultPlan};
+use ironman_ot::channel::ChannelError;
 use ironman_prg::Block;
 use ironman_telemetry::{EventKind, Histogram, TraceEvent};
 use proptest::prelude::*;
@@ -46,7 +49,7 @@ proptest! {
     /// Every request variant round-trips, whatever its field values.
     #[test]
     fn requests_round_trip(
-        variant in 0usize..11,
+        variant in 0usize..10,
         a in any::<u64>(),
         b in any::<u64>(),
         name in proptest::collection::vec(any::<u8>(), 0..32),
@@ -68,10 +71,9 @@ proptest! {
             3 => Request::Shutdown,
             4 => Request::Subscribe { batch: a, credits: b },
             5 => Request::Credit { n: a },
-            6 => Request::Sync { epoch: a },
-            7 => Request::Warm { watermark: a, max_refills: b },
-            8 => Request::Trace { max_events: a },
-            9 => Request::Gossip { from: a, vector },
+            6 => Request::Warm { watermark: a, max_refills: b },
+            7 => Request::Trace { max_events: a },
+            8 => Request::Gossip { from: a, vector },
             _ => Request::Unsubscribe,
         };
         prop_assert_eq!(Request::decode(&req.encode()).unwrap(), req);
@@ -185,15 +187,13 @@ proptest! {
         prop_assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
     }
 
-    /// Membership deltas round-trip for arbitrary member sets, states,
-    /// stamps, weights, epoch vectors, and (possibly non-UTF-8 /
-    /// non-address) payload strings — through both the v4
-    /// `DirectoryUpdate` and the v9 `GossipDelta` carriers.
+    /// Membership deltas round-trip through `GossipDelta` for arbitrary
+    /// member sets, states, stamps, weights, epoch vectors, and
+    /// (possibly non-UTF-8 / non-address) payload strings.
     #[test]
     fn directory_updates_round_trip(
         epoch in any::<u64>(),
         full in any::<bool>(),
-        gossip in any::<bool>(),
         seeds in proptest::collection::vec(any::<u64>(), 0..6),
         vector_seeds in proptest::collection::vec(any::<u64>(), 0..6),
         raw in proptest::collection::vec(any::<u8>(), 0..24),
@@ -220,13 +220,59 @@ proptest! {
                 name: String::from_utf8_lossy(&raw).into_owned(),
             })
             .collect();
-        let delta = DirectoryDelta { epoch, full, vector, members };
-        let resp = if gossip {
-            Response::GossipDelta(delta)
-        } else {
-            Response::DirectoryUpdate(delta)
-        };
+        let resp = Response::GossipDelta(DirectoryDelta { epoch, full, vector, members });
         prop_assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
+    }
+
+    /// The opcodes wire v10 retired — `0x08` (the v4 scalar-epoch
+    /// membership resync request) and `0x88` (its reply) — decode as
+    /// `Malformed` from every decoder, whatever follows them: the exact
+    /// payloads v9 peers sent (`epoch: u64`; the membership-delta
+    /// layout `GossipDelta` still uses) and arbitrary tails alike, also
+    /// after crossing a real frame.
+    #[test]
+    fn retired_opcodes_decode_as_malformed(
+        epoch in any::<u64>(),
+        tail in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let mut v9_delta = Response::GossipDelta(DirectoryDelta {
+            epoch,
+            full: false,
+            vector: vec![(epoch, 1)],
+            members: Vec::new(),
+        })
+        .encode();
+        v9_delta[0] = 0x88;
+        let mut payloads = vec![v9_delta];
+        for op in [0x08u8, 0x88] {
+            let mut v9_epoch = vec![op];
+            v9_epoch.extend_from_slice(&epoch.to_le_bytes());
+            let mut arbitrary = vec![op];
+            arbitrary.extend_from_slice(&tail);
+            payloads.push(v9_epoch);
+            payloads.push(arbitrary);
+        }
+        let mut batch = CotBatch::default();
+        let mut framed = Vec::new();
+        for payload in payloads {
+            read_frame_into(&mut Cursor::new(encode_frame(&payload)), &mut framed).unwrap();
+            prop_assert_eq!(&framed, &payload);
+            prop_assert!(
+                matches!(Request::decode(&framed), Err(ChannelError::Malformed { .. })),
+                "request decoder accepted retired opcode {:#04x}", payload[0]
+            );
+            prop_assert!(
+                matches!(Response::decode(&framed), Err(ChannelError::Malformed { .. })),
+                "response decoder accepted retired opcode {:#04x}", payload[0]
+            );
+            prop_assert!(
+                matches!(
+                    proto::decode_response_into(&framed, &mut batch),
+                    Err(ChannelError::Malformed { .. })
+                ),
+                "hot-path decoder accepted retired opcode {:#04x}", payload[0]
+            );
+        }
     }
 
     /// Arbitrary bytes never panic either decoder — they parse or they

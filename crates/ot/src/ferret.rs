@@ -14,46 +14,42 @@
 //!    next iteration's base correlations; the rest are handed to the
 //!    application.
 //!
-//! Both the plain and the locality-sorted LPN matrices are supported; they
-//! produce bit-identical outputs (§5.3's correctness argument is checked in
-//! the tests).
+//! The SPCOT phase always runs level-batched ([`crate::spcot_batch`]); the
+//! LPN phase runs on the plain CSR matrix with one of two kernels
+//! ([`LpnKernel`]). §5.3's locality-sorted order targets the NMP
+//! memory-side cache, so only the NMP model (`ironman-nmp`) replays it;
+//! on a CPU it only costs.
 
 use crate::channel::{ChannelError, ChannelStats, Transport};
 use crate::cot::{CotReceiver, CotSender};
 use crate::dealer::Dealer;
 use crate::params::FerretParams;
-use crate::spcot::{spcot_recv, spcot_send, SpcotConfig};
+use crate::spcot::SpcotConfig;
 use crate::spcot_batch::{spcot_batch_recv_into, spcot_batch_send_into};
 use ironman_ggm::Arity;
-use ironman_lpn::sorting::SortConfig;
-use ironman_lpn::{
-    simd, LpnMatrix, PackedBits, SimdLevel, SimdMode, SortedLpnMatrix, DEFAULT_ROW_WEIGHT,
-};
+use ironman_lpn::{simd, LpnMatrix, PackedBits, SimdLevel, SimdMode, DEFAULT_ROW_WEIGHT};
 use ironman_prg::{Block, PrgCounter, PrgKind};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Which LPN kernel family the extension's online encode runs — the
-/// traversals of `ironman_lpn` over the same matrix, bit-identical in
-/// output and interchangeable per party (the choice never touches the
-/// wire).
+/// Which LPN kernel the extension's online encode runs — one per
+/// regime, bit-identical in output and interchangeable per party (the
+/// choice never touches the wire).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum LpnKernel {
     /// Row-major gathers, separate passes per output vector — the CPU
-    /// baseline shape of Fig. 1(c).
+    /// baseline shape of Fig. 1(c), and the fastest shape while the
+    /// whole input is cache-resident (toy scale).
     Naive,
-    /// Cache-blocked (tile-major) gathers from the matrix's precomputed
-    /// [`ironman_lpn::TileSchedule`]; the receiver's two halves run as
-    /// one fused pass ([`ironman_lpn::encoder::CotPairLane`]). The software twin of
-    /// the paper's memory-side cache (§5.3).
-    Tiled,
-    /// The measured winner at Table-4 scale: the block half runs
-    /// tile-major (its `k · 16 B` input spills L2, so blocking pays) and
-    /// the packed-bit half runs row-major as its own pass (its `k`-bit
-    /// input is L1-resident, where tiling's bucket bookkeeping only adds
-    /// overhead). Separate passes beat the fused [`LpnKernel::Tiled`]
-    /// pair under both SIMD tiers — the fused lane drags the
-    /// cache-resident bit gathers through the block half's tile walk.
+    /// The measured winner at Table-4 scale. The sender's block pass
+    /// runs tile-major over the matrix's cached
+    /// [`ironman_lpn::TileSchedule`] (its `k · 16 B` input spills L2,
+    /// so blocking pays). The receiver's pass depends on the SIMD tier:
+    /// under [`SimdLevel::Wide`] it is the fused row-major pair
+    /// ([`ironman_lpn::simd::encode_cot_pair`]), whose lanes prefetch
+    /// the gather columns; under [`SimdLevel::Scalar`] it is the tiled
+    /// block half plus a row-major packed-bit pass (the `k`-bit input is
+    /// L1-resident, so tiling it only adds bucket bookkeeping).
     Split,
 }
 
@@ -73,16 +69,10 @@ pub struct FerretConfig {
     pub lpn_seed: Block,
     /// Row weight `d` of the LPN matrix (the paper uses 10).
     pub row_weight: usize,
-    /// Optional compile-time index sorting (§5.3). `None` = plain CSR.
-    pub sort: Option<SortConfig>,
-    /// LPN kernel family for the online encode (output-identical; see
+    /// LPN kernel for the online encode (output-identical; see
     /// [`LpnKernel`]).
     pub kernel: LpnKernel,
-    /// Level-batched SPCOT (one message per GGM level across all `t`
-    /// trees, as production Ferret implementations do) instead of one
-    /// conversation per tree. Outputs are identical either way.
-    pub batched_spcot: bool,
-    /// SIMD dispatch policy for the plain-matrix LPN kernels
+    /// SIMD dispatch policy for the LPN kernels
     /// (output-identical; local to each party, never on the wire). The
     /// default [`SimdMode::Auto`] uses the widest tier the CPU offers;
     /// `IRONMAN_SIMD=scalar` in the environment forces scalar regardless.
@@ -101,7 +91,7 @@ pub struct FerretConfig {
 }
 
 impl FerretConfig {
-    /// Ironman defaults (4-ary ChaCha8 trees, unsorted matrix) for a
+    /// Ironman defaults (4-ary ChaCha8 trees, naive LPN kernel) for a
     /// parameter set.
     pub fn new(params: FerretParams) -> Self {
         FerretConfig {
@@ -111,45 +101,47 @@ impl FerretConfig {
             session_key: Block::from(0x1203_4567u128),
             lpn_seed: Block::from(0x004c_504e_u128),
             row_weight: DEFAULT_ROW_WEIGHT,
-            sort: None,
             kernel: LpnKernel::Naive,
-            batched_spcot: true,
             simd: SimdMode::Auto,
             shared_matrix: None,
         }
     }
 
-    /// The fastest known (matrix kind × kernel) combination for `params`
-    /// on the reference single-core box, regenerated from the per-lane
-    /// head-to-head in `BENCH_extension.json` (the `kernels[]` rows; the
-    /// shape below is `n = 2^18`, `k = 168 000`, `d = 10`, best-of-5 ms):
+    /// The fastest measured kernel for `params`, from the per-lane
+    /// head-to-head of the `extension` bench (`kernels[]` in
+    /// `BENCH_extension.json`; shape `n = 2^18`, `k = 168 000`, `d = 10`;
+    /// ms, median of five quick-mode runs on a shared 2-vCPU AVX2/BMI2
+    /// Xeon host whose runs spread up to ~1.8×):
     ///
-    /// | pass | scalar row | scalar tiled | wide row | wide tiled |
+    /// | pass | scalar row-major | scalar tiled | wide row-major | wide tiled |
     /// |---|---|---|---|---|
-    /// | blocks (`s·A`)      | 5.27 | **3.97** | 4.25 | **3.85** |
-    /// | packed bits (`e·A`) | **2.87** | 5.52 | **2.47** | 5.34 |
-    /// | fused COT pair      | 9.74 | 7.88 | 7.49 | 8.02 |
+    /// | blocks (`s·A`)      | 12.57 | **9.04** | 21.18 | **7.87** |
+    /// | packed bits (`e·A`) | **6.24** | — | **5.33** | — |
+    /// | fused COT pair      | 21.73 | — | **13.30** | — |
     ///
-    /// * the **block** half wins tiled under both SIMD tiers — its
+    /// * the **sender's** block pass runs tiled under both tiers: its
     ///   `k · 16 B` input spills the L2-class window at every Table-4
     ///   row, so cache-blocking pays;
-    /// * the **packed-bit** half wins row-major — its `k`-bit input is
-    ///   L1-resident, so the tile walk's bucket bookkeeping only adds
-    ///   cost (tiled bits measure ~2× slower);
-    /// * the **fused** pair loses to running the two winning passes
-    ///   separately (wide: 3.85 + 2.47 = 6.32 vs 7.49 fused), so the
-    ///   receiver's best shape is [`LpnKernel::Split`] — which also
-    ///   gives the sender's single block pass the tiled traversal;
-    /// * the §5.3 **sorted** matrix never wins in software — its
-    ///   look-ahead order targets the NMP memory-side cache, and on a CPU
-    ///   the row scatter it adds costs more than the locality it buys
-    ///   (`blocks_sorted` measures ~0.5× naive) — so the unsorted matrix
-    ///   is recommended for every set;
+    /// * the **receiver** under [`SimdLevel::Wide`] runs the fused
+    ///   row-major pair: its lanes prefetch the gather columns, and one
+    ///   pass over the index stream ties the two separate winning passes
+    ///   (7.87 + 5.33 = 13.20 ms);
+    /// * the **receiver** under [`SimdLevel::Scalar`] runs the tiled block
+    ///   half plus the row-major packed-bit pass (9.04 + 6.24 ms against
+    ///   21.73 ms fused) — the `k`-bit input is L1-resident, so tiling it
+    ///   only adds bucket bookkeeping;
+    /// * together that is [`LpnKernel::Split`] (`session_lpn_split`,
+    ///   both parties' LPN work, 22.2 ms against 27.1 ms naive);
     /// * at toy scale the whole input is cache-resident and the kernels
     ///   tie, so the naive encoder keeps its simpler code path.
     ///
-    /// SIMD stays [`SimdMode::Auto`]: the wide tier wins or ties every
-    /// lane it covers and `IRONMAN_SIMD=scalar` remains the escape hatch.
+    /// The matrix is always the plain CSR: the §5.3 sorted order targets
+    /// the NMP memory-side cache, and on a CPU its row scatter eats the
+    /// locality it buys (`blocks_sorted` 17.7 ms against 17.5 ms
+    /// `blocks_naive`, while tiling the plain matrix takes 7.6 ms). SIMD
+    /// stays [`SimdMode::Auto`]: every production pass runs at least as
+    /// fast wide as scalar, and `IRONMAN_SIMD=scalar` remains the escape
+    /// hatch.
     ///
     /// Serving-path constructors (`CotSession`-backed pools, the bench
     /// and example binaries) build their configs through this.
@@ -215,32 +207,25 @@ impl FerretConfig {
     }
 
     fn build_matrix(&self) -> SessionMatrix {
-        let repr = match &self.shared_matrix {
+        let matrix = match &self.shared_matrix {
             Some(shared) => {
                 assert_eq!(
                     shared.fingerprint,
                     MatrixFingerprint::of(self),
                     "shared matrix was prebuilt for a different LPN configuration"
                 );
-                shared.repr.clone()
+                Arc::clone(&shared.matrix)
             }
-            None => SharedLpnMatrix::build(self).repr,
+            None => SharedLpnMatrix::build(self).matrix,
         };
-        if self.kernel != LpnKernel::Naive {
+        if self.kernel == LpnKernel::Split {
             // Build the tile schedule now (offline, cached on the
             // matrix) so no extension pays for it on the hot path. A
             // shared matrix caches it once for every session.
-            match &repr {
-                MatrixRepr::Plain(m) => {
-                    m.tile_schedule();
-                }
-                MatrixRepr::Sorted(s) => {
-                    s.tile_schedule();
-                }
-            }
+            matrix.tile_schedule();
         }
         SessionMatrix {
-            repr,
+            matrix,
             kernel: self.kernel,
             level: self.simd.resolve(),
         }
@@ -257,7 +242,6 @@ struct MatrixFingerprint {
     cols: usize,
     weight: usize,
     seed: Block,
-    sort: Option<SortConfig>,
 }
 
 impl MatrixFingerprint {
@@ -267,7 +251,6 @@ impl MatrixFingerprint {
             cols: cfg.params.k,
             weight: cfg.row_weight,
             seed: cfg.lpn_seed,
-            sort: cfg.sort,
         }
     }
 }
@@ -277,7 +260,7 @@ impl MatrixFingerprint {
 /// Cloning is an `Arc` bump; see [`FerretConfig::ensure_shared_matrix`].
 #[derive(Clone, Debug)]
 pub struct SharedLpnMatrix {
-    repr: MatrixRepr,
+    matrix: Arc<LpnMatrix>,
     fingerprint: MatrixFingerprint,
 }
 
@@ -285,13 +268,13 @@ impl SharedLpnMatrix {
     /// Generates the matrix `cfg` pins (ignoring any shared matrix
     /// already attached to `cfg`).
     pub fn build(cfg: &FerretConfig) -> Self {
-        let plain = LpnMatrix::generate(cfg.params.n, cfg.params.k, cfg.row_weight, cfg.lpn_seed);
-        let repr = match cfg.sort {
-            Some(sort_cfg) => MatrixRepr::Sorted(Arc::new(SortedLpnMatrix::sort(&plain, sort_cfg))),
-            None => MatrixRepr::Plain(Arc::new(plain)),
-        };
         SharedLpnMatrix {
-            repr,
+            matrix: Arc::new(LpnMatrix::generate(
+                cfg.params.n,
+                cfg.params.k,
+                cfg.row_weight,
+                cfg.lpn_seed,
+            )),
             fingerprint: MatrixFingerprint::of(cfg),
         }
     }
@@ -299,86 +282,54 @@ impl SharedLpnMatrix {
     /// The matrix-plus-schedule heap bytes this handle keeps alive —
     /// what each additional sharing session *avoids* allocating.
     pub fn working_set_bytes(&self) -> u64 {
-        match &self.repr {
-            MatrixRepr::Plain(m) => m.working_set_bytes(),
-            MatrixRepr::Sorted(s) => s.matrix().working_set_bytes(),
-        }
+        self.matrix.working_set_bytes()
     }
 }
 
-/// The session's matrix storage: an `Arc` either to the plain CSR matrix
-/// or to its §5.3-sorted form, shared freely across party threads and
-/// shards (the matrix is immutable after generation; its lazily built
-/// tile schedule sits behind a `OnceLock`).
-#[derive(Clone, Debug)]
-enum MatrixRepr {
-    Plain(Arc<LpnMatrix>),
-    Sorted(Arc<SortedLpnMatrix>),
-}
-
-/// The session's fixed matrix plus the kernel family and SIMD tier that
-/// traverse it. Every combination produces bit-identical outputs; only
-/// the memory access order and instruction selection differ.
+/// The session's fixed matrix — an `Arc` shared freely across party
+/// threads and shards (immutable after generation; its lazily built tile
+/// schedule sits behind a `OnceLock`) — plus the kernel and SIMD tier
+/// that traverse it. Every combination produces bit-identical outputs;
+/// only the memory access order and instruction selection differ.
 #[derive(Clone, Debug)]
 struct SessionMatrix {
-    repr: MatrixRepr,
+    matrix: Arc<LpnMatrix>,
     kernel: LpnKernel,
     level: SimdLevel,
 }
 
 impl SessionMatrix {
-    /// The sender's (and the receiver's block-half) encode: `acc ^= input·A`.
-    /// `Tiled` and `Split` agree here — both run the cache-blocked
-    /// traversal, which wins for the block operand at every Table-4 row.
+    /// The sender's encode: `acc ^= input·A`, tiled under `Split` (the
+    /// cache-blocked traversal wins for the block operand at every
+    /// Table-4 row).
     fn encode_blocks(&self, input: &[Block], acc: &mut [Block]) {
-        match (&self.repr, self.kernel) {
-            (MatrixRepr::Plain(m), LpnKernel::Naive) => {
-                simd::encode_blocks(self.level, m, input, acc)
-            }
-            (MatrixRepr::Plain(m), LpnKernel::Tiled | LpnKernel::Split) => {
+        let m = &self.matrix;
+        match self.kernel {
+            LpnKernel::Naive => simd::encode_blocks(self.level, m, input, acc),
+            LpnKernel::Split => {
                 simd::encode_blocks_tiled(self.level, m.tile_schedule(), input, acc)
-            }
-            (MatrixRepr::Sorted(s), LpnKernel::Naive) => s.encode_blocks(input, acc),
-            (MatrixRepr::Sorted(s), LpnKernel::Tiled | LpnKernel::Split) => {
-                s.encode_blocks_tiled(input, acc)
             }
         }
     }
 
     /// The receiver's online encode: `x ^= e·A` (packed bits) and
-    /// `y ^= s·A` (blocks). `Tiled` runs both halves as one fused pass
-    /// over the index stream; `Naive` runs the legacy separate
-    /// row-major passes. `Split` is level-aware, following the measured
-    /// winners: the `Wide` lanes software-prefetch their gather columns,
-    /// which makes the fused *row-major* pair pass fastest (one index
-    /// stream, both operands prefetched); without prefetch the scalar
-    /// tier instead wants the block half tile-major and the
-    /// (L1-resident) bit half row-major. The sorted matrix keeps its
-    /// scalar traversals (§5.3 ordering never wins in software, so it
-    /// gets no SIMD lanes; `Split` there falls back to the fused tiled
-    /// pass).
+    /// `y ^= s·A` (blocks). `Naive` runs separate row-major passes.
+    /// `Split` follows the measured winners per SIMD tier (see
+    /// [`FerretConfig::recommended`]): the `Wide` lanes prefetch their
+    /// gather columns, so one fused row-major pass serves both halves;
+    /// the scalar tier runs the block half tile-major and the
+    /// (L1-resident) bit half row-major.
     fn encode_receiver(&self, e: &PackedBits, s: &[Block], x: &mut PackedBits, y: &mut [Block]) {
-        match (&self.repr, self.kernel) {
-            (MatrixRepr::Plain(m), LpnKernel::Naive) => {
+        let m = &self.matrix;
+        match (self.kernel, self.level) {
+            (LpnKernel::Naive, _) => {
                 simd::encode_bits_packed(self.level, m, e, x);
                 simd::encode_blocks(self.level, m, s, y);
             }
-            (MatrixRepr::Plain(m), LpnKernel::Tiled) => {
-                simd::encode_cot_pair_tiled(self.level, m.tile_schedule(), s, e, y, x);
-            }
-            (MatrixRepr::Plain(m), LpnKernel::Split) => match self.level {
-                SimdLevel::Wide => simd::encode_cot_pair(self.level, m, s, e, y, x),
-                SimdLevel::Scalar => {
-                    simd::encode_blocks_tiled(self.level, m.tile_schedule(), s, y);
-                    simd::encode_bits_packed(self.level, m, e, x);
-                }
-            },
-            (MatrixRepr::Sorted(srt), LpnKernel::Naive) => {
-                srt.encode_bits_packed(e, x);
-                srt.encode_blocks(s, y);
-            }
-            (MatrixRepr::Sorted(srt), LpnKernel::Tiled | LpnKernel::Split) => {
-                srt.encode_cot_pair_tiled(s, e, y, x);
+            (LpnKernel::Split, SimdLevel::Wide) => simd::encode_cot_pair(self.level, m, s, e, y, x),
+            (LpnKernel::Split, SimdLevel::Scalar) => {
+                simd::encode_blocks_tiled(self.level, m.tile_schedule(), s, y);
+                simd::encode_bits_packed(self.level, m, e, x);
             }
         }
     }
@@ -446,37 +397,27 @@ impl FerretSender {
         // directly at encode time (no staging copy).
         debug_assert_eq!(self.base.len(), p.k);
 
-        // SPCOT phase: t trees, stripes assigned round-robin; each
-        // tree's leaves accumulate straight into the LPN accumulator
-        // stripe (no per-tree leaf vectors on the batched path).
+        // SPCOT phase: t trees advanced level by level in one batched
+        // conversation, stripes assigned round-robin; each tree's leaves
+        // accumulate straight into the LPN accumulator stripe (no
+        // per-tree leaf vectors).
         let stripes = p.stripes();
         let mut w_full = vec![Block::ZERO; p.n];
-        if self.cfg.batched_spcot {
-            let seeds: Vec<Block> = (0..p.t).map(|_| self.seeds.random_block()).collect();
-            let prg_counter = &mut self.prg_counter;
-            spcot_batch_send_into(
-                ch,
-                &spcot_cfg,
-                &mut spcot_base,
-                &seeds,
-                &mut self.tweak,
-                |i, leaves, counter| {
-                    *prg_counter += counter;
-                    let start = (i % stripes) * p.leaves;
-                    let width = p.leaves.min(p.n - start);
-                    Block::xor_into(&mut w_full[start..start + width], &leaves[..width]);
-                },
-            )?;
-        } else {
-            for i in 0..p.t {
-                let seed = self.seeds.random_block();
-                let out = spcot_send(ch, &spcot_cfg, &mut spcot_base, seed, &mut self.tweak)?;
-                self.prg_counter += out.counter;
+        let seeds: Vec<Block> = (0..p.t).map(|_| self.seeds.random_block()).collect();
+        let prg_counter = &mut self.prg_counter;
+        spcot_batch_send_into(
+            ch,
+            &spcot_cfg,
+            &mut spcot_base,
+            &seeds,
+            &mut self.tweak,
+            |i, leaves, counter| {
+                *prg_counter += counter;
                 let start = (i % stripes) * p.leaves;
                 let width = p.leaves.min(p.n - start);
-                Block::xor_into(&mut w_full[start..start + width], &out.w[..width]);
-            }
-        }
+                Block::xor_into(&mut w_full[start..start + width], &leaves[..width]);
+            },
+        )?;
 
         // LPN phase: z = r·A ⊕ w.
         let mut z = w_full;
@@ -577,10 +518,10 @@ impl FerretReceiver {
             .extend_bools(0, spcot_budget, &mut spcot_bits);
         let mut spcot_base = CotReceiver::new(spcot_bits, self.base_rb[..spcot_budget].to_vec());
 
-        // SPCOT phase: the one-hot noise bits land directly in the
-        // packed x accumulator and each tree's leaves XOR straight into
-        // the y accumulator stripe (no per-tree vectors on the batched
-        // path).
+        // SPCOT phase (level-batched): the one-hot noise bits land
+        // directly in the packed x accumulator and each tree's leaves
+        // XOR straight into the y accumulator stripe (no per-tree
+        // vectors).
         let stripes = p.stripes();
         let spcot_watch = ironman_telemetry::Stopwatch::start();
         let mut x = PackedBits::zeros(p.n);
@@ -589,39 +530,27 @@ impl FerretReceiver {
             let start = (i % stripes) * p.leaves;
             (start, p.leaves.min(p.n - start))
         };
-        if self.cfg.batched_spcot {
-            let alphas: Vec<usize> = (0..p.t)
-                .map(|i| self.alphas.random_index(stripe_width(i).1))
-                .collect();
-            let prg_counter = &mut self.prg_counter;
-            spcot_batch_recv_into(
-                ch,
-                &spcot_cfg,
-                &mut spcot_base,
-                &alphas,
-                &mut self.tweak,
-                |i, alpha, leaves, counter| {
-                    *prg_counter += counter;
-                    let (start, width) = stripe_width(i);
-                    x.xor_bit(start + alpha, true);
-                    Block::xor_into(&mut y[start..start + width], &leaves[..width]);
-                },
-            )?;
-        } else {
-            for i in 0..p.t {
+        let alphas: Vec<usize> = (0..p.t)
+            .map(|i| self.alphas.random_index(stripe_width(i).1))
+            .collect();
+        let prg_counter = &mut self.prg_counter;
+        spcot_batch_recv_into(
+            ch,
+            &spcot_cfg,
+            &mut spcot_base,
+            &alphas,
+            &mut self.tweak,
+            |i, alpha, leaves, counter| {
+                *prg_counter += counter;
                 let (start, width) = stripe_width(i);
-                let alpha = self.alphas.random_index(width);
-                let out = spcot_recv(ch, &spcot_cfg, &mut spcot_base, alpha, &mut self.tweak)?;
-                self.prg_counter += out.counter;
-                x.xor_bit(start + out.alpha, true);
-                Block::xor_into(&mut y[start..start + width], &out.v[..width]);
-            }
-        }
+                x.xor_bit(start + alpha, true);
+                Block::xor_into(&mut y[start..start + width], &leaves[..width]);
+            },
+        )?;
 
         let spcot_nanos = spcot_watch.elapsed_nanos();
 
-        // LPN phase: x = e·A ⊕ u, y = s·A ⊕ v (one fused pass under the
-        // tiled kernels).
+        // LPN phase: x = e·A ⊕ u, y = s·A ⊕ v.
         let lpn_watch = ironman_telemetry::Stopwatch::start();
         let e = self.base_bits.slice(spcot_budget, p.k);
         self.matrix
@@ -815,65 +744,12 @@ mod tests {
     }
 
     #[test]
-    fn sorted_matrix_matches_plain() {
-        let plain_cfg = FerretConfig::new(FerretParams::toy());
-        let sorted_cfg = FerretConfig {
-            sort: Some(SortConfig::default()),
-            ..plain_cfg.clone()
-        };
-        let plain = run_extension(&plain_cfg, 4);
-        let sorted = run_extension(&sorted_cfg, 4);
-        // Same randomness → bit-identical outputs despite reordered memory
-        // accesses (the §5.3 correctness claim).
-        assert_eq!(plain.z, sorted.z);
-        assert_eq!(plain.x, sorted.x);
-        assert_eq!(plain.y, sorted.y);
-        sorted.verify().unwrap();
-    }
-
-    #[test]
-    fn tiled_kernel_matches_naive() {
-        // Same randomness through both kernel families ⇒ bit-identical
-        // outputs: the tile schedule only reorders XOR accumulation.
-        let naive_cfg = FerretConfig::new(FerretParams::toy());
-        let tiled_cfg = FerretConfig {
-            kernel: LpnKernel::Tiled,
-            ..naive_cfg.clone()
-        };
-        let naive = run_extensions(&naive_cfg, 40, 2);
-        let tiled = run_extensions(&tiled_cfg, 40, 2);
-        for (a, b) in naive.iter().zip(&tiled) {
-            assert_eq!(a.z, b.z);
-            assert_eq!(a.x, b.x);
-            assert_eq!(a.y, b.y);
-        }
-        tiled.last().unwrap().verify().unwrap();
-    }
-
-    #[test]
-    fn tiled_sorted_matches_plain() {
-        // The full combination: §5.3 sorting composed with tiling.
-        let plain_cfg = FerretConfig::new(FerretParams::toy());
-        let both_cfg = FerretConfig {
-            kernel: LpnKernel::Tiled,
-            sort: Some(SortConfig::default()),
-            ..plain_cfg.clone()
-        };
-        let plain = run_extension(&plain_cfg, 41);
-        let both = run_extension(&both_cfg, 41);
-        assert_eq!(plain.z, both.z);
-        assert_eq!(plain.x, both.x);
-        assert_eq!(plain.y, both.y);
-        both.verify().unwrap();
-    }
-
-    #[test]
     fn mixed_kernel_parties_interoperate() {
-        // The kernel choice never touches the wire, so a tiled party
+        // The kernel choice never touches the wire, so a split party
         // correlates with a naive peer.
         let naive_cfg = FerretConfig::new(FerretParams::toy());
-        let tiled_cfg = FerretConfig {
-            kernel: LpnKernel::Tiled,
+        let split_cfg = FerretConfig {
+            kernel: LpnKernel::Split,
             ..naive_cfg.clone()
         };
         let mut dealer = Dealer::new(42);
@@ -881,7 +757,7 @@ mod tests {
         let (s_base, r_base) = dealer.deal_cot(delta, naive_cfg.base_cots_required());
         let (out_z, (out_x, out_y), _, _) = crate::channel::run_protocol(
             move |ch| {
-                let mut sender = FerretSender::new(tiled_cfg, s_base, 42);
+                let mut sender = FerretSender::new(split_cfg, s_base, 42);
                 sender.extend(ch).expect("sender extension")
             },
             move |ch| {
@@ -899,7 +775,6 @@ mod tests {
         for p in FerretParams::TABLE4 {
             let cfg = FerretConfig::recommended(p);
             assert_eq!(cfg.kernel, LpnKernel::Split, "{p}");
-            assert!(cfg.sort.is_none(), "software sort never wins ({p})");
             assert_eq!(cfg.simd, SimdMode::Auto, "{p}");
         }
         // Toy-scale inputs are cache-resident; the simple path stays.
@@ -926,22 +801,6 @@ mod tests {
             assert_eq!(a.y, b.y);
         }
         split.last().unwrap().verify().unwrap();
-    }
-
-    #[test]
-    fn split_sorted_matches_plain() {
-        // Split on a sorted matrix falls back to the fused tiled pass.
-        let plain_cfg = FerretConfig::new(FerretParams::toy());
-        let cfg = FerretConfig {
-            kernel: LpnKernel::Split,
-            sort: Some(SortConfig::default()),
-            ..plain_cfg.clone()
-        };
-        let plain = run_extension(&plain_cfg, 45);
-        let split = run_extension(&cfg, 45);
-        assert_eq!(plain.z, split.z);
-        assert_eq!(plain.x, split.x);
-        assert_eq!(plain.y, split.y);
     }
 
     #[test]

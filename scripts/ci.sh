@@ -18,6 +18,13 @@ cargo build --release --workspace
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> perfbench: build + test the benchmark harness"
+# perfbench is a Cargo workspace of its own (path deps on the crates), so
+# the workspace build above never compiles it: an API change that breaks
+# the benchmark would otherwise pass CI. Same target dir as
+# perfbench/run.py, so the benchmark's own build reuses this one.
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-.bench_build}" cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q --test net_loopback (TCP loopback e2e)"
 cargo test -q --test net_loopback
 
